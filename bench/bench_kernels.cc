@@ -1,10 +1,10 @@
 /**
  * @file
  * Kernel performance report: measures the blocked GEMM against the
- * naive reference, im2col convolution forward, and the fused
- * zero-copy split conv across thread counts and split depths, then
- * writes machine-readable results to BENCH_kernels.json (path
- * overridable as argv[1]).
+ * naive reference, convolution forward, and split conv, pooling and
+ * conv backward across thread counts and split depths, then writes
+ * machine-readable results to BENCH_kernels.json (path overridable
+ * as argv[1]).
  *
  * Workloads are width-reduced stand-ins for the Figure 8 layers (the
  * real fig08 harness drives the device *simulator*; this one times
@@ -13,11 +13,11 @@
  * uploads it as an artifact.
  *
  * Every split measurement records the thread count it actually ran
- * with, and each split depth reports split_overhead_ratio =
- * split ms / unsplit ms at the same thread count — the number the
- * zero-copy rewrite exists to keep near 1.0. The split_backward
- * sweep applies the same protocol to the band-fused backward pass
- * (dgrad + wgrad + bias vs the unsplit conv2dBackward).
+ * with (only counts up to the machine's hardware threads), and each
+ * split depth reports split_overhead_ratio = split ms / unsplit ms
+ * at the same thread count. The unsplit side is the same engine on
+ * the one-piece scheme (conv2dForwardAuto, the engine's max-pool,
+ * conv2dBackward), so each ratio measures the split alone.
  */
 #include <algorithm>
 #include <chrono>
@@ -31,8 +31,6 @@
 #include "kernels/im2col.h"
 #include "kernels/gemm.h"
 #include "kernels/microkernel.h"
-#include "kernels/pool2d.h"
-#include "kernels/winograd.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
 #include "util/threadpool.h"
@@ -139,13 +137,18 @@ main(int argc, char **argv)
     const Window2d cwin = Window2d::square(3, 1, 1);
     setGlobalThreads(1);
     const double conv_ms = timeIt([&] {
-                               Tensor out = conv2dForward(
+                               Tensor out = conv2dForwardAuto(
                                    cx, cw, Tensor(), cwin);
                            }) *
                            1e3;
 
-    // --- fused split conv: depth x thread sweep -----------------------
-    const int thread_counts[] = {1, 2, 4, 8};
+    // --- split conv: depth x thread sweep -----------------------------
+    // Thread rows stop at the hardware thread count: more workers
+    // than cores only time the scheduler.
+    std::vector<int> thread_counts;
+    for (int t : {1, 2, 4, 8})
+        if (t == 1 || t <= static_cast<int>(hw_threads))
+            thread_counts.push_back(t);
     const int depths[] = {2, 4};
     std::vector<SplitResult> splits;
     for (int depth : depths) {
@@ -169,7 +172,7 @@ main(int argc, char **argv)
                          1e3;
             r.unsplit_ms = timeIt(
                                [&] {
-                                   Tensor out = conv2dForward(
+                                   Tensor out = conv2dForwardAuto(
                                        cx, cw, Tensor(), cwin);
                                },
                                11) *
@@ -179,7 +182,7 @@ main(int argc, char **argv)
     }
     setGlobalThreads(1);
 
-    // --- Winograd vs im2col inside the fused split path ---------------
+    // --- Winograd vs im2col inside the split engine --------------------
     // 64-channel layer (vgg19 conv4 @ 1/8 width), 2x2 split, 1
     // thread, kernel choice pinned on each side. 64 channels is past
     // the cost-model crossover (c ~ 43), so auto-dispatch picks
@@ -197,16 +200,17 @@ main(int argc, char **argv)
             evenOutputSplit(cwin.outW(56), 2));
         wino_im2col_ms = timeIt(
                              [&] {
-                                 Tensor out = splitConv2dForwardFused(
+                                 Tensor out = splitConv2dForward(
                                      wx, ww, Tensor(), cwin, scheme,
-                                     false);
+                                     ConvKernel::Im2col);
                              },
                              11) *
                          1e3;
         wino_ms = timeIt(
                       [&] {
-                          Tensor out = splitConv2dForwardFused(
-                              wx, ww, Tensor(), cwin, scheme, true);
+                          Tensor out = splitConv2dForward(
+                              wx, ww, Tensor(), cwin, scheme,
+                              ConvKernel::Winograd);
                       },
                       11) *
                   1e3;
@@ -243,11 +247,14 @@ main(int argc, char **argv)
         i2c_s2_gbps = fillRate(Window2d::square(3, 2, 1));
     }
 
-    // --- fused split pooling: depth x thread sweep --------------------
+    // --- split pooling: depth x thread sweep --------------------------
     // 3x3 stride-2 max pool over the conv input; overhead ratio is
-    // fused split pool / unsplit pool at the same thread count.
+    // split pool / unsplit pool at the same thread count, both
+    // recording the argmax the executor's backward reads.
     const Window2d pwin = Window2d::square(3, 2, 1);
+    const SplitScheme2d pool_unsplit = unsplitScheme(pwin, 56, 56);
     std::vector<SplitResult> pool_splits;
+    std::vector<int64_t> pool_argmax;
     for (int depth : depths) {
         const auto scheme = splitWindowOp2d(
             pwin, 56, 56, evenOutputSplit(pwin.outH(56), depth),
@@ -260,15 +267,14 @@ main(int argc, char **argv)
             r.split_ms = timeIt(
                              [&] {
                                  Tensor out = splitMaxPool2dForward(
-                                     cx, pwin, scheme);
+                                     cx, pwin, scheme, pool_argmax);
                              },
                              11) *
                          1e3;
             r.unsplit_ms = timeIt(
                                [&] {
-                                   std::vector<int64_t> argmax;
-                                   Tensor out = maxPool2dForward(
-                                       cx, pwin, argmax);
+                                   Tensor out = splitMaxPool2dForward(
+                                       cx, pwin, pool_unsplit, pool_argmax);
                                },
                                11) *
                            1e3;
@@ -277,13 +283,11 @@ main(int argc, char **argv)
     }
     setGlobalThreads(1);
 
-    // --- band-fused split backward: depth x thread sweep --------------
-    // Same conv3-style layer as the forward sweep; the fused split
-    // backward (dgrad + wgrad + bias) is timed against the unsplit
-    // conv2dBackward at the same thread count. Both sides run the
-    // identical band-pipelined GEMM engine, so the ratio isolates the
-    // split bookkeeping (per-patch staging, halo scatter, cached W^T
-    // panel lookups) the zero-copy rewrite exists to keep near 1.0.
+    // --- split backward: depth x thread sweep -------------------------
+    // Same conv3-style layer as the forward sweep; the split backward
+    // (dgrad + wgrad + bias) is timed against conv2dBackward (the same
+    // engine on the one-piece scheme) at the same thread count, so
+    // the ratio isolates the per-patch staging and halo scatter.
     std::vector<SplitResult> backward_splits;
     {
         Rng brng(4);
@@ -303,9 +307,8 @@ main(int argc, char **argv)
                         [&] {
                             Tensor gx, gb;
                             Tensor gw(cw.shape());
-                            splitConv2dBackwardFused(cx, cw, bgo,
-                                                     cwin, scheme, gx,
-                                                     gw, gb);
+                            splitConv2dBackward(cx, cw, bgo, cwin,
+                                                scheme, gx, gw, gb);
                         },
                         11) *
                     1e3;
@@ -326,15 +329,11 @@ main(int argc, char **argv)
     }
 
     auto findIn = [](const std::vector<SplitResult> &v, int depth,
-                     int threads) -> const SplitResult & {
+                     int threads) -> const SplitResult * {
         for (const auto &r : v)
             if (r.depth == depth && r.threads == threads)
-                return r;
-        std::fprintf(stderr, "missing measurement\n");
-        std::abort();
-    };
-    auto findSplit = [&](int depth, int threads) -> const SplitResult & {
-        return findIn(splits, depth, threads);
+                return &r;
+        return nullptr;
     };
 
     // --- report -------------------------------------------------------
@@ -343,9 +342,27 @@ main(int argc, char **argv)
         std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
         return 1;
     }
+    // Per depth: the 1-thread overhead ratio, and the 4-thread
+    // speedup when the machine has the threads to measure it.
+    auto writeSummary = [&](const char *key,
+                            const std::vector<SplitResult> &v,
+                            const char *ratio_key) {
+        std::fprintf(f, "  \"%s\": {\n", key);
+        for (size_t i = 0; i < std::size(depths); ++i) {
+            const int depth = depths[i];
+            const SplitResult &t1 = *findIn(v, depth, 1);
+            std::fprintf(f, "    \"%dx%d\": {\"%s\": %.3f", depth,
+                         depth, ratio_key, t1.overheadRatio());
+            if (const SplitResult *t4 = findIn(v, depth, 4))
+                std::fprintf(f, ", \"speedup_4t\": %.2f",
+                             t1.split_ms / t4->split_ms);
+            std::fprintf(f, "}%s\n",
+                         i + 1 < std::size(depths) ? "," : "");
+        }
+        std::fprintf(f, "  }");
+    };
+
     std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"gemm_kernel_default\": \"%s\",\n",
-                 gemmKernelName());
     std::fprintf(f, "  \"simd_kernel\": \"%s\",\n", simdKernelName());
     std::fprintf(f, "  \"hardware_threads\": %u,\n", hw_threads);
     std::fprintf(f, "  \"gemm\": [\n");
@@ -378,20 +395,8 @@ main(int argc, char **argv)
             r.overheadRatio(), i + 1 < splits.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"split_conv_summary\": {\n");
-    for (size_t i = 0; i < std::size(depths); ++i) {
-        const int depth = depths[i];
-        const SplitResult &t1 = findSplit(depth, 1);
-        const SplitResult &t4 = findSplit(depth, 4);
-        std::fprintf(
-            f,
-            "    \"%dx%d\": {\"split_overhead_ratio_1t\": %.3f, "
-            "\"speedup_4t\": %.2f}%s\n",
-            depth, depth, t1.overheadRatio(),
-            t1.split_ms / t4.split_ms,
-            i + 1 < std::size(depths) ? "," : "");
-    }
-    std::fprintf(f, "  },\n");
+    writeSummary("split_conv_summary", splits, "split_overhead_ratio_1t");
+    std::fprintf(f, ",\n");
     std::fprintf(f,
                  "  \"winograd\": {\"workload\": \"1x64x56x56 * "
                  "64x64x3x3, 2x2 split, 1 thread\", \"im2col_ms\": "
@@ -416,20 +421,9 @@ main(int argc, char **argv)
             r.overheadRatio(), i + 1 < pool_splits.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"split_pool_summary\": {\n");
-    for (size_t i = 0; i < std::size(depths); ++i) {
-        const int depth = depths[i];
-        const SplitResult &t1 = findIn(pool_splits, depth, 1);
-        const SplitResult &t4 = findIn(pool_splits, depth, 4);
-        std::fprintf(
-            f,
-            "    \"%dx%d\": {\"split_pool_overhead_ratio_1t\": %.3f, "
-            "\"speedup_4t\": %.2f}%s\n",
-            depth, depth, t1.overheadRatio(),
-            t1.split_ms / t4.split_ms,
-            i + 1 < std::size(depths) ? "," : "");
-    }
-    std::fprintf(f, "  },\n");
+    writeSummary("split_pool_summary", pool_splits,
+                 "split_pool_overhead_ratio_1t");
+    std::fprintf(f, ",\n");
     std::fprintf(f, "  \"split_backward\": [\n");
     for (size_t i = 0; i < backward_splits.size(); ++i) {
         const auto &r = backward_splits[i];
@@ -443,20 +437,9 @@ main(int argc, char **argv)
             i + 1 < backward_splits.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"split_backward_summary\": {\n");
-    for (size_t i = 0; i < std::size(depths); ++i) {
-        const int depth = depths[i];
-        const SplitResult &t1 = findIn(backward_splits, depth, 1);
-        const SplitResult &t4 = findIn(backward_splits, depth, 4);
-        std::fprintf(
-            f,
-            "    \"%dx%d\": {\"split_backward_overhead_ratio_1t\": "
-            "%.3f, \"speedup_4t\": %.2f}%s\n",
-            depth, depth, t1.overheadRatio(),
-            t1.split_ms / t4.split_ms,
-            i + 1 < std::size(depths) ? "," : "");
-    }
-    std::fprintf(f, "  }\n");
+    writeSummary("split_backward_summary", backward_splits,
+                 "split_backward_overhead_ratio_1t");
+    std::fprintf(f, "\n");
     std::fprintf(f, "}\n");
     std::fclose(f);
 

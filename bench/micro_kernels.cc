@@ -9,10 +9,8 @@
 
 #include "core/split_op.h"
 #include "kernels/batchnorm.h"
-#include "kernels/conv2d.h"
 #include "kernels/gemm.h"
 #include "kernels/pool2d.h"
-#include "kernels/winograd.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
 
@@ -85,8 +83,10 @@ BM_Conv2dForward(benchmark::State &state)
     x.fillNormal(rng, 0.0f, 1.0f);
     w.fillNormal(rng, 0.0f, 0.1f);
     const Window2d win = Window2d::square(3, 1, 1);
+    const auto scheme = unsplitScheme(win, 32, 32);
     for (auto _ : state) {
-        Tensor out = conv2dForward(x, w, Tensor(), win);
+        Tensor out = splitConv2dForward(x, w, Tensor(), win, scheme,
+                                        ConvKernel::Im2col);
         benchmark::DoNotOptimize(out.data());
     }
 }
@@ -96,7 +96,7 @@ void
 BM_SplitConv2dForward(benchmark::State &state)
 {
     // The same conv executed patch-wise (2x2 split): quantifies the
-    // per-patch overhead of Split-CNN's eager executor.
+    // split overhead against BM_Conv2dForward on the same engine.
     const int64_t c = state.range(0);
     Rng rng(3);
     Tensor x(Shape{1, c, 32, 32});
@@ -108,7 +108,8 @@ BM_SplitConv2dForward(benchmark::State &state)
         splitWindowOp2d(win, 32, 32, evenOutputSplit(32, 2),
                         evenOutputSplit(32, 2));
     for (auto _ : state) {
-        Tensor out = splitConv2dForward(x, w, Tensor(), win, scheme);
+        Tensor out = splitConv2dForward(x, w, Tensor(), win, scheme,
+                                        ConvKernel::Im2col);
         benchmark::DoNotOptimize(out.data());
     }
 }
@@ -124,8 +125,12 @@ BM_WinogradConv2dForward(benchmark::State &state)
     x.fillNormal(rng, 0.0f, 1.0f);
     w.fillNormal(rng, 0.0f, 0.1f);
     const Window2d win = Window2d::square(3, 1, 1);
+    const auto scheme = unsplitScheme(win, 32, 32);
     for (auto _ : state) {
-        Tensor out = conv2dForwardWinograd(x, w, Tensor(), win);
+        // Steady state: the weight is unchanged, so the packed U
+        // comes from the Winograd weight cache after the first run.
+        Tensor out = splitConv2dForward(x, w, Tensor(), win, scheme,
+                                        ConvKernel::Winograd);
         benchmark::DoNotOptimize(out.data());
     }
 }

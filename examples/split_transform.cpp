@@ -69,7 +69,7 @@ main()
             evenOutputSplit(win.outW(16), 2));
         Tensor split =
             splitConv2dForward(x, weights, Tensor(), win, scheme);
-        Tensor ref = conv2dForward(x, weights, Tensor(), win);
+        Tensor ref = conv2dForwardAuto(x, weights, Tensor(), win);
         std::printf("\nnatural split (k==s): max |split - unsplit| = "
                     "%.2e (exact)\n",
                     maxAbsDiff(split, ref));
@@ -88,7 +88,7 @@ main()
             evenOutputSplit(win.outW(16), 2));
         Tensor split =
             splitConv2dForward(x, weights, Tensor(), win, scheme);
-        Tensor ref = conv2dForward(x, weights, Tensor(), win);
+        Tensor ref = conv2dForwardAuto(x, weights, Tensor(), win);
         std::printf("overlapping windows (k=3, s=1): max diff = %.3f "
                     "(boundary rows only -- the intentional semantic "
                     "change)\n",

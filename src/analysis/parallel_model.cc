@@ -662,8 +662,8 @@ buildSplitConvBackwardPlan(int64_t n, int64_t c, int64_t ih,
     const int64_t out_h = scheme.h.pieces.back().out_end;
     const int64_t out_w = scheme.w.pieces.back().out_end;
     const int64_t krows = c * win.kh * win.kw;
-    // The dgrad operand: W^T packed A panels (krows x oc), cached per
-    // (layer, split) like the forward panels.
+    // The dgrad operand: W^T packed A panels (krows x oc), packed once
+    // per call and shared read-only.
     const int64_t panel_floats = gemmPackedASize(krows, oc);
 
     ParallelRegion gx_region;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Suite 6: parallel-execution safety (SA6xx) — a static model of the
- * work-item decompositions the fused split kernels and the executor's
+ * work-item decompositions the window-op engine and the executor's
  * wave scheduler actually run, precise enough to *prove* them
  * race-free instead of sampling them with TSan.
  *
@@ -15,7 +15,7 @@
  *          write overlapping another item's read) — a data race
  *   SA602  an access outside the region's bounds
  *   SA603  a write to a read-only region (weight panels, packed
- *          Winograd U tensors, cached panels)
+ *          Winograd U tensors)
  *   SA604  an access to a scratch-arena region owned by another item
  *   SA605  in an `ordered` region, a read of a slot with no write in
  *          any earlier epoch (happens-before violation)
@@ -41,14 +41,14 @@
  * computeExecutionWaves), so the model cannot silently diverge from
  * the code it describes:
  *
- *  - buildSplitConvPlan: splitConv2dForwardFused's image x row-band
+ *  - buildSplitConvPlan: splitConv2dForward's image x row-band
  *    items. A band writes output rows [out_start+oy0, out_start+oy1)
  *    of every output channel at the parent channel stride (one span
  *    {base, n1=oc, s1=oh*ow, len=rows*ow} per item), reads the halo
  *    rectangles of every width patch, shares the packed weight
  *    panels read-only, and owns a private scratch-arena region for
  *    its staged columns.
- *  - buildSplitPoolPlan: the image x patch items of the fused pool
+ *  - buildSplitPoolPlan: the image x patch items of the split pool
  *    paths; a patch writes the block
  *    [out_start_h, out_end_h) x [out_start_w, out_end_w) of every
  *    channel ({base, n1=c, s1=oh*ow, n2=outLen_h, s2=ow,
@@ -168,7 +168,7 @@ std::string parallelItemName(const ParallelPlan &plan, int64_t item);
 std::vector<Diagnostic> analyzeParallelPlan(const ParallelPlan &plan);
 
 /**
- * Model splitConv2dForwardFused for @p n images of a C x ih x iw
+ * Model splitConv2dForward for @p n images of a C x ih x iw
  * input under @p scheme. The footprints cover both kernel choices:
  * the im2col and Winograd paths write identical band regions, and
  * reads are modeled as each patch's halo rectangle (a conservative
@@ -180,18 +180,18 @@ ParallelPlan buildSplitConvPlan(int64_t n, int64_t c, int64_t ih,
                                 const Window2d &win,
                                 const SplitScheme2d &scheme);
 
-/** Model the fused split-pool paths (image x patch items). */
+/** Model the split-pool forwards (image x patch items). */
 ParallelPlan buildSplitPoolPlan(int64_t n, int64_t c, int64_t ih,
                                 int64_t iw, const Window2d &win,
                                 const SplitScheme2d &scheme);
 
 /**
- * Model splitConv2dBackwardFused: images fan out across workers, and
+ * Model splitConv2dBackward: images fan out across workers, and
  * a worker runs its image's row-band items serially ascending — so
  * the plan's epochs encode that per-image serial order. Per band:
  * grad_x scatter hulls (band-restricted, mirroring col2imViewStrided)
  * land in the `ordered_accum` grad_x region, grad_out band rows and
- * patch input hulls are read, the cached dgrad (W^T) panels are
+ * patch input hulls are read, the dgrad (W^T) panels are
  * shared read-only, and the per-image wgrad/bias partial accumulator
  * chains bands under the same ordered discipline. A per-image bias
  * item then reduces grad_out rows, and a per-image reduction item —
@@ -204,7 +204,7 @@ ParallelPlan buildSplitConvBackwardPlan(int64_t n, int64_t c,
                                         const SplitScheme2d &scheme);
 
 /**
- * Model the fused split-pool backward paths: image x patch items
+ * Model the split-pool backward paths: image x patch items
  * scatter-adding window gradients through each patch's input hull
  * into the `ordered_accum` grad_x region (halo rows overlap between
  * neighbouring patches of one image; a worker owns the image and
@@ -237,8 +237,8 @@ std::vector<Diagnostic> analyzeParallelExecution(const Graph &graph,
                                                  int splits_w);
 
 /**
- * Whether the parallel-safety debug hooks (split dispatchers,
- * Executor construction) are active: compiled in for !NDEBUG builds,
+ * Whether the parallel-safety debug hooks (window-op engine entry
+ * points, Executor construction) are active: compiled in for !NDEBUG builds,
  * switchable at run time with SCNN_LINT_PARALLEL=1/0. The same
  * contract as lintPlansEnabled().
  */

@@ -42,41 +42,51 @@ std::atomic<int64_t> g_sessions_checked{0};
 std::atomic<int64_t> g_records_checked{0};
 std::atomic<int64_t> g_violations{0};
 
+/** The work item this thread runs, the session its records go to
+ * (0 = none), and the session it owns (0 = none). Session ids are
+ * never reused, so a stale tl_session left on a pool worker after its
+ * session ended can only miss the live set, never hit another
+ * session. */
 thread_local int64_t tl_item = -1;
+thread_local int64_t tl_session = 0;
+thread_local int64_t tl_owned = 0;
 
 } // namespace
 
 struct ShadowSession::Impl
 {
-    std::mutex mu;
+    int64_t id = 0;
     ParallelPlan plan;
-    std::vector<Binding> bindings;
-    std::vector<Record> records;
+    std::vector<Binding> bindings; ///< guarded by g_mu
+    std::vector<Record> records;   ///< guarded by g_mu
 };
 
 namespace {
 
-/** The active session, or null. Writers hold g_session_mu; readers
- * on the record fast path load the atomic and re-validate under the
- * session's own mutex. */
-std::atomic<ShadowSession::Impl *> g_active{nullptr};
-std::mutex g_session_mu;
+/** Live sessions by id. g_mu guards the map and every live session's
+ * bindings and records; the recorder fast path only loads
+ * g_live_count. */
+std::mutex g_mu;
+std::map<int64_t, ShadowSession::Impl *> g_live;
+int64_t g_next_id = 1;
+std::atomic<int64_t> g_live_count{0};
 
 void
-append(ShadowSession::Impl *impl, const void *ptr,
-       const StridedSpan &span, bool write)
+append(const void *ptr, const StridedSpan &span, bool write)
 {
-    std::lock_guard<std::mutex> lock(impl->mu);
-    // Re-validate: the session could have been torn down between the
-    // atomic load and the lock.
-    if (g_active.load(std::memory_order_acquire) != impl)
+    if (g_live_count.load(std::memory_order_acquire) == 0 ||
+        tl_session == 0)
         return;
+    std::lock_guard<std::mutex> lock(g_mu);
+    auto it = g_live.find(tl_session);
+    if (it == g_live.end())
+        return; // that session has ended
     Record r;
     r.ptr = static_cast<const char *>(ptr);
     r.span = span;
     r.write = write;
     r.item = tl_item;
-    impl->records.push_back(r);
+    it->second->records.push_back(r);
 }
 
 } // namespace
@@ -115,22 +125,38 @@ shadowAccessResetStats()
 ShadowSession::ShadowSession(ParallelPlan plan) : impl_(new Impl)
 {
     impl_->plan = std::move(plan);
-    std::lock_guard<std::mutex> lock(g_session_mu);
-    SCNN_CHECK(g_active.load() == nullptr,
-               "nested shadow-access sessions are not supported");
-    g_active.store(impl_, std::memory_order_release);
+    std::lock_guard<std::mutex> lock(g_mu);
+    SCNN_CHECK(g_live.count(tl_owned) == 0,
+               "nested shadow-access sessions on one thread are not "
+               "supported");
+    impl_->id = g_next_id++;
+    g_live[impl_->id] = impl_;
+    g_live_count.fetch_add(1, std::memory_order_release);
+    tl_owned = impl_->id;
+    tl_session = impl_->id;
 }
 
 ShadowSession::~ShadowSession()
 {
     {
-        std::lock_guard<std::mutex> lock(g_session_mu);
-        g_active.store(nullptr, std::memory_order_release);
+        // Once the id leaves the live set (under g_mu), no recorder
+        // can reach impl_ again.
+        std::lock_guard<std::mutex> lock(g_mu);
+        g_live.erase(impl_->id);
+        g_live_count.fetch_sub(1, std::memory_order_release);
     }
-    // Recorders re-validate under impl_->mu, so once the pointer is
-    // cleared and the mutex cycles, no thread still touches impl_.
-    { std::lock_guard<std::mutex> lock(impl_->mu); }
+    if (tl_owned == impl_->id)
+        tl_owned = 0;
+    if (tl_session == impl_->id)
+        tl_session = 0;
     delete impl_;
+}
+
+void
+ShadowSession::setItem(int64_t item)
+{
+    tl_session = impl_->id;
+    tl_item = item;
 }
 
 void
@@ -139,7 +165,7 @@ ShadowSession::bind(const std::string &name, const void *base)
     const int64_t region = findParallelRegion(impl_->plan, name);
     SCNN_CHECK(region >= 0,
                "shadow bind: no region named '" << name << "'");
-    std::lock_guard<std::mutex> lock(impl_->mu);
+    std::lock_guard<std::mutex> lock(g_mu);
     Binding b;
     b.region = region;
     b.base = static_cast<const char *>(base);
@@ -150,7 +176,7 @@ ShadowSession::bind(const std::string &name, const void *base)
 int64_t
 ShadowSession::recordCount() const
 {
-    std::lock_guard<std::mutex> lock(impl_->mu);
+    std::lock_guard<std::mutex> lock(g_mu);
     return static_cast<int64_t>(impl_->records.size());
 }
 
@@ -160,7 +186,7 @@ ShadowSession::check()
     std::vector<Record> records;
     std::vector<Binding> bindings;
     {
-        std::lock_guard<std::mutex> lock(impl_->mu);
+        std::lock_guard<std::mutex> lock(g_mu);
         records = impl_->records;
         bindings = impl_->bindings;
     }
@@ -311,29 +337,15 @@ ShadowSession::check()
 }
 
 void
-shadowSetItem(int64_t item)
-{
-    tl_item = item;
-}
-
-void
 shadowRecord(const void *ptr, int64_t len_floats, bool write)
 {
-    ShadowSession::Impl *impl =
-        g_active.load(std::memory_order_acquire);
-    if (impl == nullptr)
-        return;
-    append(impl, ptr, StridedSpan::interval(0, len_floats), write);
+    append(ptr, StridedSpan::interval(0, len_floats), write);
 }
 
 void
 shadowRecordSpan(const void *ptr, const StridedSpan &span, bool write)
 {
-    ShadowSession::Impl *impl =
-        g_active.load(std::memory_order_acquire);
-    if (impl == nullptr)
-        return;
-    append(impl, ptr, span, write);
+    append(ptr, span, write);
 }
 
 } // namespace scnn

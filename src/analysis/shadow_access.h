@@ -2,26 +2,29 @@
  * @file
  * Shadow-access validator (SA607): the empirical check that keeps
  * the SA6xx static analyzer honest. With SCNN_SHADOW_ACCESS=1, the
- * fused split kernels log coarse-grained (work item, offset range,
- * R/W) claims while they run; a post-run containment check asserts
- * every recorded access lies inside the footprint the ParallelPlan
- * predicted for that item. A violation is an *analyzer* bug (the
- * model diverged from the kernels), surfaced as diagnostic SA607 —
- * distinct from the SA601-SA606 codes, which indict the plan.
+ * window-op engine's kernels log coarse-grained (work item, offset
+ * range, R/W) claims while they run; a post-run containment check
+ * asserts every recorded access lies inside the footprint the
+ * ParallelPlan predicted for that item. A violation is an *analyzer*
+ * bug (the model diverged from the kernels), surfaced as diagnostic
+ * SA607 — distinct from the SA601-SA606 codes, which indict the plan.
  *
  * Protocol:
- *   1. A dispatcher builds the ParallelPlan for the execution it is
- *      about to run and opens a ShadowSession with it.
+ *   1. An engine entry point (the "dispatcher") builds the
+ *      ParallelPlan for the execution it is about to run and opens a
+ *      ShadowSession with it.
  *   2. It binds each plan region's name to the region's runtime base
  *      pointer (output tensor, input tensor, packed panels).
  *      Scratch-arena regions stay unbound: arena buffers are
  *      recycled across items by each worker thread, so pointer
  *      identity cannot attribute them to items — their legality is
  *      proved statically (SA604) instead.
- *   3. Work loops call shadowSetItem(i) before running item i;
- *      instrumented kernels call shadowRecord/shadowRecordSpan with
- *      raw pointers. Recording is a no-op (one relaxed atomic load)
- *      when no session is active.
+ *   3. Work loops call session.setItem(i) before running item i, on
+ *      whichever pool thread runs it; instrumented kernels then call
+ *      shadowRecord/shadowRecordSpan with raw pointers, and the
+ *      records go to the session that thread last took an item from.
+ *      Recording is a no-op (one relaxed atomic load) when no session
+ *      is active.
  *   4. The dispatcher calls check(): every record is resolved to
  *      (region, offset) through the bindings and must be contained
  *      in the union of its item's predicted spans — writes within
@@ -66,9 +69,11 @@ ShadowAccessStats shadowAccessStats();
 void shadowAccessResetStats();
 
 /**
- * One recording scope. At most one session is active per process
- * (the fused dispatchers never nest); constructing a second while
- * one is active is a bug and panics.
+ * One recording scope. Sessions are per calling thread: executor
+ * waves run sibling patch clones on different workers, so several
+ * dispatchers can each hold a session at once. A thread may own at
+ * most one live session (the dispatchers never nest); constructing a
+ * second on the same thread is a bug and panics.
  */
 class ShadowSession
 {
@@ -78,6 +83,11 @@ class ShadowSession
 
     ShadowSession(const ShadowSession &) = delete;
     ShadowSession &operator=(const ShadowSession &) = delete;
+
+    /** Declare that the calling thread is about to run work item
+     * @p item of this session: its records go here until it takes an
+     * item of another session. */
+    void setItem(int64_t item);
 
     /** Bind region @p name to its runtime base pointer. Regions left
      * unbound (scratch arenas) never match a recorded pointer. */
@@ -97,9 +107,6 @@ class ShadowSession
   private:
     Impl *impl_;
 };
-
-/** Declare the work item the calling thread is about to execute. */
-void shadowSetItem(int64_t item);
 
 /** Record a contiguous float range at @p ptr. No-op without an
  * active session. */

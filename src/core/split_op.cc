@@ -1,15 +1,13 @@
 #include "core/split_op.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <cstdint>
 #include <cstring>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "analysis/parallel_model.h"
 #include "analysis/shadow_access.h"
-#include "kernels/conv2d.h"
 #include "kernels/gemm.h"
 #include "kernels/im2col.h"
 #include "kernels/microkernel.h"
@@ -55,50 +53,45 @@ patchWindow(const Window2d &win, const SplitScheme2d &scheme, int hi,
     return local;
 }
 
-Tensor
-slicePatch(const Tensor &x, const SplitScheme2d &scheme, int hi, int wi)
+SplitScheme2d
+unsplitScheme(const Window2d &win, int64_t ih, int64_t iw)
 {
-    const SplitPiece1d &ph = scheme.h.pieces[hi];
-    const SplitPiece1d &pw = scheme.w.pieces[wi];
-    // Slice by padding negatively: crop to [in_start, in_end) on both
-    // spatial axes.
-    const int64_t ih = x.shape().dim(2);
-    const int64_t iw = x.shape().dim(3);
-    return pad2d(x, -ph.in_start, ph.in_end - ih, -pw.in_start,
-                 pw.in_end - iw);
+    const int64_t oh = win.outH(ih);
+    const int64_t ow = win.outW(iw);
+    SCNN_REQUIRE(oh > 0 && ow > 0,
+                 "window op output is empty for a " << ih << "x" << iw
+                                                    << " input with "
+                                                    << win.toString());
+    SplitScheme2d scheme;
+    scheme.h.pieces.push_back({0, ih, 0, oh, win.ph_b, win.ph_e});
+    scheme.w.pieces.push_back({0, iw, 0, ow, win.pw_b, win.pw_e});
+    return scheme;
 }
 
 // ---------------------------------------------------------------------------
-// Fused zero-copy split execution, v2.
+// The window-op engine.
 //
-// The materializing path pays, per patch: a pad2d input copy, a
-// fresh output tensor, and two concat passes — pure memory traffic
-// that made a 2x2 split ~2.8x slower than the unsplit conv. v1
-// removed those copies but still ran one small GEMM per
-// (patch, row-tile) into a bounce buffer: the GEMM's N collapsed to
-// a patch width, edge microtiles wasted MACs, B panels were repacked
-// per tile, and a copyRow pass moved every output byte twice.
-//
-// v2 makes the GEMM shape equal to the unsplit convolution's. A work
-// item is an output-row *band* of one patch-row group (all patches
-// sharing a split-H piece): every patch stages its halo-aware im2col
-// columns into one shared column matrix whose columns are ordered by
-// parent output position (im2colViewStrided with col_ld = the band's
-// full column count, row_step = the parent output width), the matrix
-// is packed into B panels once (gemmPackB) and consumed across every
-// output-channel block without repacking (gemmPackedAB), and C is
-// the parent output itself (ldc = the parent channel stride) — no
-// bounce buffer, no copy pass. Weight panels come from a keyed
-// per-(layer, split) cache instead of being repacked per call.
+// Patches are views into the parent: no pad2d copy, no per-patch
+// output tensor, no concat. A conv work item is an output-row *band*
+// of one patch-row group (all patches sharing a split-H piece): every
+// patch stages its halo-aware im2col columns into one shared column
+// matrix whose columns are ordered by parent output position
+// (im2colViewStrided with col_ld = the band's full column count,
+// row_step = the parent output width), the matrix is packed into B
+// panels once (gemmPackB) and consumed across every output-channel
+// block (gemmPackedAB), and C is the parent output itself (ldc = the
+// parent channel stride) — the GEMM runs at the unsplit
+// convolution's shape. The unsplit op is the one-piece scheme, so it
+// runs exactly this code.
 //
 // Determinism: the work list is a function of shapes alone (the row
 // band is a fixed constant), every item writes a disjoint output
 // region, and each item's arithmetic is scheduling-independent — so
 // outputs are bitwise identical for any thread count. Under the
 // scalar microkernel each output element accumulates k ascending
-// from a zeroed start exactly like the materializing im2col path, so
-// the two produce identical bytes; the fused batched-GEMM Winograd
-// path likewise reproduces the materializing Winograd path's bytes.
+// from a zeroed start, exactly like a naive GEMM over a materialized
+// patch's im2col matrix, so split and materialized execution produce
+// identical bytes.
 // ---------------------------------------------------------------------------
 
 std::vector<SplitBandItem>
@@ -119,394 +112,121 @@ splitConvBandItems(const SplitScheme1d &h)
 
 namespace {
 
-bool
-envMaterialize()
-{
-    static const bool materialize = [] {
-        const char *env = std::getenv("SCNN_SPLIT_EXEC");
-        return env != nullptr &&
-               std::string_view(env) == "materialize";
-    }();
-    return materialize;
-}
-
-enum class WinoMode { Auto, Off, On };
-
-WinoMode
-envSplitWinograd()
-{
-    static const WinoMode mode = [] {
-        const char *env = std::getenv("SCNN_SPLIT_WINOGRAD");
-        if (env == nullptr)
-            return WinoMode::Auto;
-        return std::string_view(env) == "1" ? WinoMode::On
-                                            : WinoMode::Off;
-    }();
-    return mode;
-}
-
 uint64_t
-hashFloats(const float *p, int64_t count)
+hashWords(const float *p, int64_t count)
 {
-    // FNV-1a over the raw bytes: cheap relative to a pack (one
-    // sequential read, no writes) and exhaustive, so in-place weight
-    // updates can never serve stale panels.
-    const unsigned char *bytes =
-        reinterpret_cast<const unsigned char *>(p);
+    // FNV-1a over 8-byte words: one multiply per two floats, and any
+    // single changed word changes the result (each step is a
+    // bijection of the running hash), so an in-place weight update
+    // can never serve a stale U.
+    const auto *bytes = reinterpret_cast<const unsigned char *>(p);
     const int64_t nbytes = count * int64_t(sizeof(float));
+    constexpr uint64_t kPrime = 1099511628211ull;
     uint64_t h = 1469598103934665603ull;
-    for (int64_t i = 0; i < nbytes; ++i) {
-        h ^= bytes[i];
-        h *= 1099511628211ull;
+    int64_t i = 0;
+    for (; i + 8 <= nbytes; i += 8) {
+        uint64_t word;
+        std::memcpy(&word, bytes + i, sizeof(word));
+        h = (h ^ word) * kPrime;
+    }
+    if (i < nbytes) {
+        uint32_t word;
+        std::memcpy(&word, bytes + i, sizeof(word));
+        h = (h ^ word) * kPrime;
     }
     return h;
 }
 
-/** A cached packed-panel buffer plus the shared_ptr keeping it alive
- * while a worker reads it (eviction only drops the cache's ref). */
+/** A cached packed U plus the shared_ptr keeping it alive while
+ * workers read it (a later miss only drops the cache's ref). */
 struct PanelRef
 {
     std::shared_ptr<std::vector<float>> keepalive;
     const float *panels = nullptr;
 };
 
-/** Which packed layout a cache entry holds. One weight tensor can be
- * cached under several kinds at once: the forward GEMM A panels, the
- * Winograd U tensor, and the backward dgrad panels (W^T packed as A,
- * krows x oc) are distinct layouts keyed separately. */
-enum class PanelKind { GemmA, Winograd, Dgrad };
-
 /**
- * Keyed LRU cache of packed weight panels, shared process-wide.
- *
- * Key: weight base pointer + panel shape + kernel choice + active
- * microkernel (packed layouts are microkernel-dependent). A full
- * content hash validates every hit. Capacity is a handful of layers;
- * an inference loop over a fixed net hits every call after the first
- * pass, which is what turns "pack once per call" into "pack once per
- * (layer, split)".
+ * One-entry cache of the packed Winograd U (winogradPackWeights is
+ * ~15x the cost of a GEMM-A pack). The traffic it serves is the
+ * patch clones of one split layer, which the executor runs back to
+ * back with the same weight tensor; across SGD steps every weight
+ * changes, so a larger cache would only hold stale entries.
  */
-class WeightPanelCache
+class WinogradWeightCache
 {
 public:
-    template <typename PackFn>
     PanelRef
-    lookupOrPack(const float *w, int64_t wcount, int64_t m, int64_t k,
-                 PanelKind kind, int64_t panel_floats, PackFn &&pack)
+    lookupOrPack(const float *w, int64_t oc, int64_t c)
     {
-        const uint64_t h = hashFloats(w, wcount);
+        const uint64_t h = hashWords(w, oc * c * 9);
         const char *kernel = activeMicrokernel().name;
         MutexLock lock(mu_);
-        ++tick_;
-        for (auto &e : entries_) {
-            if (e.wptr == w && e.m == m && e.k == k &&
-                e.kind == kind && e.kernel == kernel) {
-                e.tick = tick_;
-                if (e.hash == h) {
-                    ++hits_;
-                    return {e.buf, e.panels};
-                }
-                // Same layer slot, new contents (in-place update):
-                // repack into the existing entry.
-                ++misses_;
-                pack(e.panels);
-                e.hash = h;
-                return {e.buf, e.panels};
-            }
+        if (buf_ && wptr_ == w && oc_ == oc && c_ == c &&
+            kernel_ == kernel && hash_ == h) {
+            ++hits_;
+            return {buf_, panels_};
         }
         ++misses_;
-        Entry e;
-        e.wptr = w;
-        e.m = m;
-        e.k = k;
-        e.kind = kind;
-        e.kernel = kernel;
-        e.hash = h;
-        e.tick = tick_;
-        // Over-allocate so the panel base can be 64-byte aligned for
-        // the microkernel's SIMD loads.
-        e.buf = std::make_shared<std::vector<float>>(
-            static_cast<size_t>(panel_floats + 16));
-        auto addr = reinterpret_cast<uintptr_t>(e.buf->data());
-        e.panels = reinterpret_cast<float *>((addr + 63) & ~uintptr_t{63});
-        pack(e.panels);
-        if (entries_.size() >= kCapacity) {
-            size_t oldest = 0;
-            for (size_t i = 1; i < entries_.size(); ++i)
-                if (entries_[i].tick < entries_[oldest].tick)
-                    oldest = i;
+        // Another layer displaces the entry; the same layer with new
+        // contents (an in-place SGD update) only repacks.
+        if (buf_ && (wptr_ != w || oc_ != oc || c_ != c ||
+                     kernel_ != kernel))
             ++evictions_;
-            entries_[oldest] = std::move(e);
-            return {entries_[oldest].buf, entries_[oldest].panels};
-        }
-        entries_.push_back(std::move(e));
-        return {entries_.back().buf, entries_.back().panels};
+        // Always a fresh buffer: a worker of an earlier call may still
+        // read the old one through its keepalive. Over-allocate so
+        // the panel base can be 64-byte aligned for SIMD loads.
+        buf_ = std::make_shared<std::vector<float>>(
+            static_cast<size_t>(winogradPackedUSize(oc, c) + 16));
+        auto addr = reinterpret_cast<uintptr_t>(buf_->data());
+        panels_ = reinterpret_cast<float *>((addr + 63) & ~uintptr_t{63});
+        winogradPackWeights(w, oc, c, panels_);
+        wptr_ = w;
+        oc_ = oc;
+        c_ = c;
+        kernel_ = kernel;
+        hash_ = h;
+        return {buf_, panels_};
     }
 
     SplitWeightCacheStats
     stats()
     {
         MutexLock lock(mu_);
-        return {hits_, misses_, evictions_,
-                static_cast<int64_t>(entries_.size())};
+        return {hits_, misses_, evictions_, buf_ ? 1 : 0};
     }
 
     void
     clear()
     {
         MutexLock lock(mu_);
-        entries_.clear();
+        buf_.reset();
+        panels_ = nullptr;
+        wptr_ = nullptr;
         hits_ = misses_ = evictions_ = 0;
-        tick_ = 0;
     }
 
 private:
-    struct Entry
-    {
-        const float *wptr = nullptr;
-        int64_t m = 0;
-        int64_t k = 0;
-        PanelKind kind = PanelKind::GemmA;
-        const char *kernel = nullptr;
-        uint64_t hash = 0;
-        std::shared_ptr<std::vector<float>> buf;
-        float *panels = nullptr;
-        int64_t tick = 0;
-    };
-    static constexpr size_t kCapacity = 8;
-
     Mutex mu_;
-    std::vector<Entry> entries_ SCNN_GUARDED_BY(mu_);
+    const float *wptr_ SCNN_GUARDED_BY(mu_) = nullptr;
+    int64_t oc_ SCNN_GUARDED_BY(mu_) = 0;
+    int64_t c_ SCNN_GUARDED_BY(mu_) = 0;
+    const char *kernel_ SCNN_GUARDED_BY(mu_) = nullptr;
+    uint64_t hash_ SCNN_GUARDED_BY(mu_) = 0;
+    std::shared_ptr<std::vector<float>> buf_ SCNN_GUARDED_BY(mu_);
+    float *panels_ SCNN_GUARDED_BY(mu_) = nullptr;
     int64_t hits_ SCNN_GUARDED_BY(mu_) = 0;
     int64_t misses_ SCNN_GUARDED_BY(mu_) = 0;
     int64_t evictions_ SCNN_GUARDED_BY(mu_) = 0;
-    int64_t tick_ SCNN_GUARDED_BY(mu_) = 0;
 };
 
-WeightPanelCache &
-weightCache()
+WinogradWeightCache &
+winogradCache()
 {
-    static WeightPanelCache cache;
+    static WinogradWeightCache cache;
     return cache;
 }
 
-} // namespace
-
-SplitWeightCacheStats
-splitWeightCacheStats()
-{
-    return weightCache().stats();
-}
-
-void
-splitWeightCacheClear()
-{
-    weightCache().clear();
-}
-
-Tensor
-splitConv2dForwardFused(const Tensor &x, const Tensor &weight,
-                        const Tensor &bias, const Window2d &win,
-                        const SplitScheme2d &scheme, bool use_winograd)
-{
-    SCNN_REQUIRE(x.shape().rank() == 4, "split conv input must be NCHW");
-    SCNN_REQUIRE(weight.shape().rank() == 4,
-                 "split conv weight must be [OC, C, kh, kw]");
-    const int64_t n = x.shape().dim(0);
-    const int64_t c = x.shape().dim(1);
-    const int64_t ih = x.shape().dim(2);
-    const int64_t iw = x.shape().dim(3);
-    const int64_t oc = weight.shape().dim(0);
-    SCNN_REQUIRE(weight.shape().dim(1) == c,
-                 "split conv channel mismatch");
-    SCNN_REQUIRE(weight.shape().dim(2) == win.kh &&
-                     weight.shape().dim(3) == win.kw,
-                 "split conv kernel extent mismatch");
-    SCNN_REQUIRE(!use_winograd || winogradApplicable(win),
-                 "winograd split path needs a 3x3 stride-1 window");
-    SCNN_CHECK(scheme.h.parts() > 0 && scheme.w.parts() > 0,
-               "empty split scheme");
-
-    const int64_t out_h = scheme.h.pieces.back().out_end;
-    const int64_t out_w = scheme.w.pieces.back().out_end;
-    const int64_t krows = c * win.kh * win.kw;
-    const bool has_bias = bias.numel() > 0;
-    if (has_bias)
-        SCNN_REQUIRE(bias.numel() == oc,
-                     "split conv bias size mismatch");
-
-    // Validate the scheme geometry once; the band decomposition comes
-    // from the shared helper the SA6xx analyzer also models.
-    for (int hi = 0; hi < scheme.h.parts(); ++hi) {
-        const SplitPiece1d &ph = scheme.h.pieces[hi];
-        for (int wi = 0; wi < scheme.w.parts(); ++wi) {
-            const SplitPiece1d &pw = scheme.w.pieces[wi];
-            const Window2d local = patchWindow(win, scheme, hi, wi);
-            SCNN_CHECK(local.outH(ph.inLen()) == ph.outLen() &&
-                           local.outW(pw.inLen()) == pw.outLen(),
-                       "split scheme geometry mismatch for patch ("
-                           << hi << ", " << wi << ")");
-        }
-    }
-    const std::vector<SplitBandItem> bands =
-        splitConvBandItems(scheme.h);
-    int64_t max_band_rows = 0;
-    for (const SplitBandItem &b : bands)
-        max_band_rows = std::max(max_band_rows, b.oy1 - b.oy0);
-
-    // Weight panels: packed at most once per (layer, split) — served
-    // from the keyed cache on every later call, shared read-only by
-    // all workers. In debug builds, assert a hit really skipped the
-    // pack (the packs == layers invariant).
-#ifndef NDEBUG
-    const int64_t packs_before = gemmPackACalls();
-    const SplitWeightCacheStats stats_before = splitWeightCacheStats();
-#endif
-    PanelRef wref;
-    if (use_winograd)
-        wref = weightCache().lookupOrPack(
-            weight.data(), oc * krows, oc, c, PanelKind::Winograd,
-            winogradPackedUSize(oc, c), [&](float *dst) {
-                winogradPackWeights(weight.data(), oc, c, dst);
-            });
-    else
-        wref = weightCache().lookupOrPack(
-            weight.data(), oc * krows, oc, krows, PanelKind::GemmA,
-            gemmPackedASize(oc, krows), [&](float *dst) {
-                gemmPackA(oc, krows, 1.0f, weight.data(), dst);
-            });
-#ifndef NDEBUG
-    if (splitWeightCacheStats().hits > stats_before.hits)
-        SCNN_CHECK(gemmPackACalls() == packs_before,
-                   "weight-cache hit must not repack panels");
-#endif
-
-    Tensor out = Tensor::uninitialized(Shape{n, oc, out_h, out_w});
-    const float *bias_ptr = has_bias ? bias.data() : nullptr;
-    const int64_t n_bands = static_cast<int64_t>(bands.size());
-    const int64_t max_band_cols = max_band_rows * out_w;
-    const int64_t panel_floats = use_winograd
-                                     ? winogradPackedUSize(oc, c)
-                                     : gemmPackedASize(oc, krows);
-
-    // Shadow-access validation (SCNN_SHADOW_ACCESS=1): model this
-    // exact execution and, after the parallel section, check every
-    // claim the kernels recorded against the static prediction.
-    std::unique_ptr<ShadowSession> shadow;
-    if (shadowAccessEnabled()) {
-        shadow = std::make_unique<ShadowSession>(
-            buildSplitConvPlan(n, c, ih, iw, oc, win, scheme));
-        shadow->bind("output", out.data());
-        shadow->bind("input", x.data());
-        shadow->bind("weight_panels", wref.panels);
-    }
-
-    globalPool().parallelFor(n * n_bands, [&](int64_t begin,
-                                              int64_t end) {
-        auto &warena = ScratchArena::tls();
-        auto wguard = warena.scope();
-        float *col = nullptr;
-        float *pb = nullptr;
-        if (!use_winograd) {
-            col = warena.alloc(krows * max_band_cols);
-            pb = warena.alloc(gemmPackedBSize(krows, max_band_cols));
-        }
-        for (int64_t i = begin; i < end; ++i) {
-            const int64_t in = i / n_bands;
-            const SplitBandItem &band =
-                bands[static_cast<size_t>(i % n_bands)];
-            const SplitPiece1d &ph = scheme.h.pieces[band.hi];
-            const float *img = x.data() + in * c * ih * iw;
-            float *out_img = out.data() + in * oc * out_h * out_w;
-
-            if (shadow) {
-                shadowSetItem(i);
-                // The band's whole output claim (both kernel paths
-                // write exactly these rows of every channel) and its
-                // shared read of the packed panels. Input halo reads
-                // are recorded inside the patch kernels.
-                shadowRecordSpan(
-                    out_img + (ph.out_start + band.oy0) * out_w,
-                    {0, oc, out_h * out_w, 1, 0,
-                     (band.oy1 - band.oy0) * out_w},
-                    true);
-                shadowRecord(wref.panels, panel_floats, false);
-            }
-
-            if (use_winograd) {
-                for (int wi = 0; wi < scheme.w.parts(); ++wi) {
-                    const SplitPiece1d &pw = scheme.w.pieces[wi];
-                    const PatchView view{ph.in_start, pw.in_start,
-                                         ph.inLen(), pw.inLen()};
-                    conv2dWinogradPatch(
-                        img, c, ih, iw, view,
-                        patchWindow(win, scheme, band.hi, wi),
-                        wref.panels, oc, bias_ptr, band.oy0 / 2,
-                        (band.oy1 + 1) / 2, out_img, out_h, out_w,
-                        ph.out_start, pw.out_start);
-                }
-                continue;
-            }
-
-            // Stage every patch's columns of this band into the
-            // shared column matrix, ordered by parent output
-            // position: window-element row r of output (oy, ox_glob)
-            // sits at col[r*nb + (oy - oy0)*out_w + ox_glob].
-            const int64_t rows = band.oy1 - band.oy0;
-            const int64_t nb = rows * out_w;
-            for (int wi = 0; wi < scheme.w.parts(); ++wi) {
-                const SplitPiece1d &pw = scheme.w.pieces[wi];
-                const PatchView view{ph.in_start, pw.in_start,
-                                     ph.inLen(), pw.inLen()};
-                im2colViewStrided(
-                    img, c, ih, iw, view,
-                    patchWindow(win, scheme, band.hi, wi), band.oy0,
-                    band.oy1, col + pw.out_start, nb, out_w);
-            }
-            // One unsplit-shaped GEMM for the whole band: B panels
-            // packed once, consumed by every output-channel block, C
-            // written straight into the parent output.
-            gemmPackB(krows, nb, col, nb, pb);
-            float *cbase =
-                out_img + (ph.out_start + band.oy0) * out_w;
-            const int64_t ldc = out_h * out_w;
-            gemmPackedAB(oc, nb, krows, wref.panels, pb, 0.0f, cbase,
-                         ldc);
-            if (has_bias)
-                for (int64_t o = 0; o < oc; ++o) {
-                    float *crow = cbase + o * ldc;
-                    const float b = bias_ptr[o];
-                    for (int64_t j = 0; j < nb; ++j)
-                        crow[j] += b;
-                }
-        }
-    });
-    if (shadow) {
-        const std::vector<Diagnostic> escapes = shadow->check();
-        SCNN_CHECK(escapes.empty(),
-                   "shadow-access validator: "
-                       << escapes.size()
-                       << " SA607 escape(s) in split conv; first: "
-                       << escapes.front().toString());
-    }
-    return out;
-}
-
-Tensor
-splitConv2dForwardMaterialized(const Tensor &x, const Tensor &weight,
-                               const Tensor &bias, const Window2d &win,
-                               const SplitScheme2d &scheme)
-{
-    return runSplitOp(x, win, scheme,
-                      [&](const Tensor &patch, const Window2d &local) {
-                          return conv2dForwardAuto(patch, weight, bias,
-                                                   local);
-                      });
-}
-
-namespace {
-
-/** Debug hook shared by the split dispatchers: statically prove the
+/** Debug hook shared by the dispatchers: statically prove the
  * decomposition race-free before running it. Batch is modeled as
  * min(n, 2) images — image footprints are identical translates, so
  * two prove every inter-image pair (same convention as
@@ -522,71 +242,256 @@ lintSplitPlan(const ParallelPlan &plan, const char *what)
                                         << diags.front().toString());
 }
 
+/** Post-run shadow-access check: any escape is an analyzer bug. */
+void
+checkShadow(ShadowSession &shadow, const char *what)
+{
+    const std::vector<Diagnostic> escapes = shadow.check();
+    SCNN_CHECK(escapes.empty(),
+               "shadow-access validator: "
+                   << escapes.size() << " SA607 escape(s) in " << what
+                   << "; first: " << escapes.front().toString());
+}
+
+/** Every patch's local window must produce exactly its output block. */
+void
+checkSchemeGeometry(const Window2d &win, const SplitScheme2d &scheme)
+{
+    SCNN_CHECK(scheme.h.parts() > 0 && scheme.w.parts() > 0,
+               "empty split scheme");
+    for (int hi = 0; hi < scheme.h.parts(); ++hi) {
+        const SplitPiece1d &ph = scheme.h.pieces[hi];
+        for (int wi = 0; wi < scheme.w.parts(); ++wi) {
+            const SplitPiece1d &pw = scheme.w.pieces[wi];
+            const Window2d local = patchWindow(win, scheme, hi, wi);
+            SCNN_CHECK(local.outH(ph.inLen()) == ph.outLen() &&
+                           local.outW(pw.inLen()) == pw.outLen(),
+                       "split scheme geometry mismatch for patch ("
+                           << hi << ", " << wi << ")");
+        }
+    }
+}
+
+/** Shape checks shared by the conv forward and backward. */
+void
+checkConvShapes(const Tensor &x, const Tensor &weight,
+                const Window2d &win)
+{
+    SCNN_REQUIRE(x.shape().rank() == 4, "conv2d input must be NCHW");
+    SCNN_REQUIRE(weight.shape().rank() == 4,
+                 "conv2d weight must be [OC, C, kh, kw]");
+    SCNN_REQUIRE(weight.shape().dim(1) == x.shape().dim(1),
+                 "conv2d channel mismatch: weight expects "
+                     << weight.shape().dim(1) << ", input has "
+                     << x.shape().dim(1));
+    SCNN_REQUIRE(weight.shape().dim(2) == win.kh &&
+                     weight.shape().dim(3) == win.kw,
+                 "conv2d kernel extent mismatch");
+}
+
 } // namespace
+
+SplitWeightCacheStats
+splitWeightCacheStats()
+{
+    return winogradCache().stats();
+}
+
+void
+splitWeightCacheClear()
+{
+    winogradCache().clear();
+}
 
 Tensor
 splitConv2dForward(const Tensor &x, const Tensor &weight,
                    const Tensor &bias, const Window2d &win,
-                   const SplitScheme2d &scheme)
+                   const SplitScheme2d &scheme, ConvKernel kernel)
 {
+    checkConvShapes(x, weight, win);
+    const int64_t n = x.shape().dim(0);
+    const int64_t c = x.shape().dim(1);
+    const int64_t ih = x.shape().dim(2);
+    const int64_t iw = x.shape().dim(3);
+    const int64_t oc = weight.shape().dim(0);
+    const bool use_winograd =
+        kernel == ConvKernel::Winograd ||
+        (kernel == ConvKernel::Auto && winogradApplicable(win) &&
+         winogradCostModelWins(c, oc));
+    SCNN_REQUIRE(!use_winograd || winogradApplicable(win),
+                 "winograd needs a 3x3 stride-1 window, got "
+                     << win.toString());
+    checkSchemeGeometry(win, scheme);
     if (lintParallelEnabled())
-        lintSplitPlan(buildSplitConvPlan(
-                          std::min<int64_t>(x.shape().dim(0), 2),
-                          x.shape().dim(1), x.shape().dim(2),
-                          x.shape().dim(3), weight.shape().dim(0),
-                          win, scheme),
+        lintSplitPlan(buildSplitConvPlan(std::min<int64_t>(n, 2), c, ih,
+                                         iw, oc, win, scheme),
                       "split conv");
-    if (envMaterialize())
-        return splitConv2dForwardMaterialized(x, weight, bias, win,
-                                              scheme);
-    bool wino = false;
-    if (winogradApplicable(win)) {
-        switch (envSplitWinograd()) {
-        case WinoMode::On:
-            wino = true;
-            break;
-        case WinoMode::Off:
-            wino = false;
-            break;
-        case WinoMode::Auto:
-            wino = winogradCostModelWins(x.shape().dim(1),
-                                         weight.shape().dim(0));
-            break;
-        }
+
+    const int64_t out_h = scheme.h.pieces.back().out_end;
+    const int64_t out_w = scheme.w.pieces.back().out_end;
+    const int64_t krows = c * win.kh * win.kw;
+    const bool has_bias = bias.numel() > 0;
+    if (has_bias)
+        SCNN_REQUIRE(bias.numel() == oc, "conv2d bias size mismatch");
+
+    const std::vector<SplitBandItem> bands =
+        splitConvBandItems(scheme.h);
+    int64_t max_band_rows = 0;
+    for (const SplitBandItem &b : bands)
+        max_band_rows = std::max(max_band_rows, b.oy1 - b.oy0);
+
+    // The weight operand, shared read-only by every worker: GEMM A
+    // panels packed into the caller's arena, or the cached Winograd U.
+    auto &arena = ScratchArena::tls();
+    auto guard = arena.scope();
+    PanelRef wref; // keeps a cached U alive while the workers read it
+    const float *panels = nullptr;
+    int64_t panel_floats = 0;
+    if (use_winograd) {
+        panel_floats = winogradPackedUSize(oc, c);
+        wref = winogradCache().lookupOrPack(weight.data(), oc, c);
+        panels = wref.panels;
+    } else {
+        panel_floats = gemmPackedASize(oc, krows);
+        float *pa = arena.alloc(panel_floats);
+        gemmPackA(oc, krows, 1.0f, weight.data(), pa);
+        panels = pa;
     }
-    return splitConv2dForwardFused(x, weight, bias, win, scheme, wino);
+
+    Tensor out = Tensor::uninitialized(Shape{n, oc, out_h, out_w});
+    const float *bias_ptr = has_bias ? bias.data() : nullptr;
+    const int64_t n_bands = static_cast<int64_t>(bands.size());
+    const int64_t max_band_cols = max_band_rows * out_w;
+
+    // Shadow-access validation (SCNN_SHADOW_ACCESS=1): model this
+    // exact execution and, after the parallel section, check every
+    // claim the kernels recorded against the static prediction.
+    std::unique_ptr<ShadowSession> shadow;
+    if (shadowAccessEnabled()) {
+        shadow = std::make_unique<ShadowSession>(
+            buildSplitConvPlan(n, c, ih, iw, oc, win, scheme));
+        shadow->bind("output", out.data());
+        shadow->bind("input", x.data());
+        shadow->bind("weight_panels", panels);
+    }
+
+    globalPool().parallelFor(n * n_bands, [&](int64_t begin,
+                                              int64_t end) {
+        auto &warena = ScratchArena::tls();
+        auto wguard = warena.scope();
+        float *col = nullptr;
+        float *pb = nullptr;
+        if (!use_winograd) {
+            col = warena.alloc(krows * max_band_cols);
+            pb = warena.alloc(gemmPackedBSize(krows, max_band_cols));
+        }
+        const Microkernel &uk = activeMicrokernel();
+        for (int64_t i = begin; i < end; ++i) {
+            const int64_t in = i / n_bands;
+            const SplitBandItem &band =
+                bands[static_cast<size_t>(i % n_bands)];
+            const SplitPiece1d &ph = scheme.h.pieces[band.hi];
+            const float *img = x.data() + in * c * ih * iw;
+            float *out_img = out.data() + in * oc * out_h * out_w;
+
+            if (shadow) {
+                shadow->setItem(i);
+                // The band's whole output claim (both kernel paths
+                // write exactly these rows of every channel) and its
+                // shared read of the packed panels. Input halo reads
+                // are recorded inside the patch kernels.
+                shadowRecordSpan(
+                    out_img + (ph.out_start + band.oy0) * out_w,
+                    {0, oc, out_h * out_w, 1, 0,
+                     (band.oy1 - band.oy0) * out_w},
+                    true);
+                shadowRecord(panels, panel_floats, false);
+            }
+
+            if (use_winograd) {
+                for (int wi = 0; wi < scheme.w.parts(); ++wi) {
+                    const SplitPiece1d &pw = scheme.w.pieces[wi];
+                    const PatchView view{ph.in_start, pw.in_start,
+                                         ph.inLen(), pw.inLen()};
+                    conv2dWinogradPatch(
+                        img, c, ih, iw, view,
+                        patchWindow(win, scheme, band.hi, wi), panels,
+                        oc, bias_ptr, band.oy0 / 2, (band.oy1 + 1) / 2,
+                        out_img, out_h, out_w, ph.out_start,
+                        pw.out_start);
+                }
+                continue;
+            }
+
+            // Stage every patch's columns of this band into the
+            // shared column matrix, ordered by parent output
+            // position: window-element row r of output (oy, ox_glob)
+            // sits at col[r*nb + (oy - oy0)*out_w + ox_glob].
+            const int64_t nb = (band.oy1 - band.oy0) * out_w;
+            for (int wi = 0; wi < scheme.w.parts(); ++wi) {
+                const SplitPiece1d &pw = scheme.w.pieces[wi];
+                const PatchView view{ph.in_start, pw.in_start,
+                                     ph.inLen(), pw.inLen()};
+                im2colViewStrided(
+                    img, c, ih, iw, view,
+                    patchWindow(win, scheme, band.hi, wi), band.oy0,
+                    band.oy1, col + pw.out_start, nb, out_w);
+            }
+            // One unsplit-shaped GEMM for the whole band: B panels
+            // packed once, consumed by every output-channel block, C
+            // written straight into the parent output.
+            gemmPackB(krows, nb, col, nb, pb);
+            float *cbase = out_img + (ph.out_start + band.oy0) * out_w;
+            const int64_t ldc = out_h * out_w;
+            gemmPackedAB(oc, nb, krows, panels, pb, 0.0f, cbase, ldc);
+            if (has_bias)
+                for (int64_t o = 0; o < oc; ++o)
+                    uk.addBiasRow(cbase + o * ldc, nb, bias_ptr[o]);
+        }
+    });
+    if (shadow)
+        checkShadow(*shadow, "split conv");
+    return out;
 }
 
 namespace {
 
-/** Shared driver for the fused split-pool paths: one work item per
- * (image, patch), each writing a disjoint block of the parent
- * output through the halo-aware patch kernel. */
+/** Shared driver for split pooling: one work item per (image, patch),
+ * each writing a disjoint block of the parent output through the
+ * halo-aware patch kernel. @p argmax, when non-null, is filled in
+ * the output's layout alongside it. */
 template <typename PatchKernel>
 Tensor
-splitPool2dForwardFusedImpl(const Tensor &x, const Window2d &win,
-                            const SplitScheme2d &scheme,
-                            PatchKernel &&kernel)
+splitPool2dForwardImpl(const Tensor &x, const Window2d &win,
+                       const SplitScheme2d &scheme,
+                       std::vector<int64_t> *argmax, const char *what,
+                       PatchKernel &&kernel)
 {
-    SCNN_REQUIRE(x.shape().rank() == 4, "split pool input must be NCHW");
-    SCNN_CHECK(scheme.h.parts() > 0 && scheme.w.parts() > 0,
-               "empty split scheme");
+    SCNN_REQUIRE(x.shape().rank() == 4, "pool input must be NCHW");
+    checkSchemeGeometry(win, scheme);
     const int64_t n = x.shape().dim(0);
     const int64_t c = x.shape().dim(1);
     const int64_t ih = x.shape().dim(2);
     const int64_t iw = x.shape().dim(3);
     const int64_t out_h = scheme.h.pieces.back().out_end;
     const int64_t out_w = scheme.w.pieces.back().out_end;
-    SCNN_REQUIRE(out_h > 0 && out_w > 0, "empty split pool output");
+    SCNN_REQUIRE(out_h > 0 && out_w > 0, "empty pool output");
+    if (lintParallelEnabled())
+        lintSplitPlan(buildSplitPoolPlan(std::min<int64_t>(n, 2), c, ih,
+                                         iw, win, scheme),
+                      what);
 
-    const int hp = scheme.h.parts();
     const int wp = scheme.w.parts();
-    const int64_t parts = int64_t(hp) * wp;
+    const int64_t parts = int64_t(scheme.h.parts()) * wp;
 
     // Every output element belongs to exactly one patch block, so the
     // allocation skips its zero-fill; items write disjoint regions.
     Tensor out = Tensor::uninitialized(Shape{n, c, out_h, out_w});
+    if (argmax != nullptr)
+        argmax->resize(static_cast<size_t>(out.numel()));
 
+    // The argmax slots mirror the output writes one for one, so the
+    // output claims cover them; the model has no separate region.
     std::unique_ptr<ShadowSession> shadow;
     if (shadowAccessEnabled()) {
         shadow = std::make_unique<ShadowSession>(
@@ -599,7 +504,7 @@ splitPool2dForwardFusedImpl(const Tensor &x, const Window2d &win,
                                             int64_t end) {
         for (int64_t i = begin; i < end; ++i) {
             if (shadow)
-                shadowSetItem(i); // patch kernels record the claims
+                shadow->setItem(i); // patch kernels record the claims
             const int64_t in = i / parts;
             const int hi = static_cast<int>((i % parts) / wp);
             const int wi = static_cast<int>(i % wp);
@@ -607,117 +512,56 @@ splitPool2dForwardFusedImpl(const Tensor &x, const Window2d &win,
             const SplitPiece1d &pw = scheme.w.pieces[wi];
             const PatchView view{ph.in_start, pw.in_start, ph.inLen(),
                                  pw.inLen()};
-            const Window2d local = patchWindow(win, scheme, hi, wi);
-            SCNN_CHECK(local.outH(ph.inLen()) == ph.outLen() &&
-                           local.outW(pw.inLen()) == pw.outLen(),
-                       "split scheme geometry mismatch for patch ("
-                           << hi << ", " << wi << ")");
+            const int64_t out_off = in * c * out_h * out_w;
             kernel(x.data() + in * c * ih * iw, c, ih, iw, view,
-                   local, out.data() + in * c * out_h * out_w, out_h,
-                   out_w, ph.out_start, pw.out_start);
+                   patchWindow(win, scheme, hi, wi),
+                   out.data() + out_off, out_h, out_w, ph.out_start,
+                   pw.out_start,
+                   argmax != nullptr ? argmax->data() + out_off
+                                     : nullptr,
+                   in * c * ih * iw);
         }
     });
-    if (shadow) {
-        const std::vector<Diagnostic> escapes = shadow->check();
-        SCNN_CHECK(escapes.empty(),
-                   "shadow-access validator: "
-                       << escapes.size()
-                       << " SA607 escape(s) in split pool; first: "
-                       << escapes.front().toString());
-    }
+    if (shadow)
+        checkShadow(*shadow, what);
     return out;
 }
 
 } // namespace
 
 Tensor
-splitMaxPool2dForwardFused(const Tensor &x, const Window2d &win,
-                           const SplitScheme2d &scheme)
-{
-    return splitPool2dForwardFusedImpl(
-        x, win, scheme,
-        [](const float *img, int64_t c, int64_t ih, int64_t iw,
-           const PatchView &view, const Window2d &local, float *out,
-           int64_t out_oh, int64_t out_ow, int64_t oy0, int64_t ox0) {
-            maxPool2dPatch(img, c, ih, iw, view, local, out, out_oh,
-                           out_ow, oy0, ox0);
-        });
-}
-
-Tensor
-splitAvgPool2dForwardFused(const Tensor &x, const Window2d &win,
-                           const SplitScheme2d &scheme)
-{
-    return splitPool2dForwardFusedImpl(
-        x, win, scheme,
-        [](const float *img, int64_t c, int64_t ih, int64_t iw,
-           const PatchView &view, const Window2d &local, float *out,
-           int64_t out_oh, int64_t out_ow, int64_t oy0, int64_t ox0) {
-            avgPool2dPatch(img, c, ih, iw, view, local, out, out_oh,
-                           out_ow, oy0, ox0);
-        });
-}
-
-Tensor
-splitMaxPool2dForwardMaterialized(const Tensor &x, const Window2d &win,
-                                  const SplitScheme2d &scheme)
-{
-    return runSplitOp(x, win, scheme,
-                      [&](const Tensor &patch, const Window2d &local) {
-                          std::vector<int64_t> argmax;
-                          return maxPool2dForward(patch, local, argmax);
-                      });
-}
-
-Tensor
-splitAvgPool2dForwardMaterialized(const Tensor &x, const Window2d &win,
-                                  const SplitScheme2d &scheme)
-{
-    return runSplitOp(x, win, scheme,
-                      [&](const Tensor &patch, const Window2d &local) {
-                          return avgPool2dForward(patch, local);
-                      });
-}
-
-Tensor
 splitMaxPool2dForward(const Tensor &x, const Window2d &win,
-                      const SplitScheme2d &scheme)
+                      const SplitScheme2d &scheme,
+                      std::vector<int64_t> &argmax)
 {
-    if (lintParallelEnabled())
-        lintSplitPlan(buildSplitPoolPlan(
-                          std::min<int64_t>(x.shape().dim(0), 2),
-                          x.shape().dim(1), x.shape().dim(2),
-                          x.shape().dim(3), win, scheme),
-                      "split max-pool");
-    if (envMaterialize())
-        return splitMaxPool2dForwardMaterialized(x, win, scheme);
-    return splitMaxPool2dForwardFused(x, win, scheme);
+    return splitPool2dForwardImpl(x, win, scheme, &argmax,
+                                  "split max-pool", maxPool2dPatch);
 }
 
 Tensor
 splitAvgPool2dForward(const Tensor &x, const Window2d &win,
                       const SplitScheme2d &scheme)
 {
-    if (lintParallelEnabled())
-        lintSplitPlan(buildSplitPoolPlan(
-                          std::min<int64_t>(x.shape().dim(0), 2),
-                          x.shape().dim(1), x.shape().dim(2),
-                          x.shape().dim(3), win, scheme),
-                      "split avg-pool");
-    if (envMaterialize())
-        return splitAvgPool2dForwardMaterialized(x, win, scheme);
-    return splitAvgPool2dForwardFused(x, win, scheme);
+    return splitPool2dForwardImpl(
+        x, win, scheme, nullptr, "split avg-pool",
+        [](const float *img, int64_t c, int64_t ih, int64_t iw,
+           const PatchView &view, const Window2d &local, float *out,
+           int64_t out_oh, int64_t out_ow, int64_t oy0, int64_t ox0,
+           int64_t *, int64_t) {
+            avgPool2dPatch(img, c, ih, iw, view, local, out, out_oh,
+                           out_ow, oy0, ox0);
+        });
 }
 
 // ---------------------------------------------------------------------------
-// Fused zero-copy split backward.
+// Split backward.
 //
-// The backward twin of the fused forward: gradient patches are
-// PatchViews into the parent tensors, never per-patch copies. Images
-// fan out across the pool in waves; a worker owns a whole image and
-// runs its row bands serially ascending, so every halo scatter-add
-// into grad_x happens in a fixed order (the SA609 ordered-accumulation
-// contract) and nothing races. Per band, every width patch stages its
+// The backward twin of the forward: gradient patches are PatchViews
+// into the parent tensors, never per-patch copies. Images fan out
+// across the pool in waves; a worker owns a whole image and runs its
+// row bands serially ascending, so every halo scatter-add into grad_x
+// happens in a fixed order (the SA609 ordered-accumulation contract)
+// and nothing races. Per band, every width patch stages its
 // halo-aware im2col columns into one shared column matrix ordered by
 // parent output position — exactly the forward staging — and the
 // matrix feeds *both* gradient GEMMs:
@@ -729,65 +573,38 @@ splitAvgPool2dForward(const Tensor &x, const Window2d &win,
 //          order — bitwise-identical for any thread count),
 //   dgrad  gcol = packA(W^T) x packB(grad_out band), scattered into
 //          the parent grad_x through col2imViewStrided's hoisted
-//          flank bounds (W^T panels come from the weight-panel cache
-//          under a dgrad key).
-//
-// The materialized path (SCNN_SPLIT_EXEC=materialize) is the pinned
-// reference: it replays the identical write order while routing every
-// read through bounce copies (sliced patch rectangles, contiguous
-// grad_out bands, freshly packed panels), so fused and materialized
-// are bitwise-equal by construction and a parity failure isolates the
-// zero-copy view machinery.
+//          flank bounds (W^T packed once per call).
 // ---------------------------------------------------------------------------
 
-namespace {
-
 void
-splitConv2dBackwardImpl(const Tensor &x, const Tensor &weight,
-                        const Tensor &grad_out, const Window2d &win,
-                        const SplitScheme2d &scheme, Tensor &grad_x,
-                        Tensor &grad_w, Tensor &grad_b,
-                        bool materialize)
+splitConv2dBackward(const Tensor &x, const Tensor &weight,
+                    const Tensor &grad_out, const Window2d &win,
+                    const SplitScheme2d &scheme, Tensor &grad_x,
+                    Tensor &grad_w, Tensor &grad_b)
 {
-    SCNN_REQUIRE(x.shape().rank() == 4, "split conv input must be NCHW");
-    SCNN_REQUIRE(weight.shape().rank() == 4,
-                 "split conv weight must be [OC, C, kh, kw]");
+    checkConvShapes(x, weight, win);
+    checkSchemeGeometry(win, scheme);
     const int64_t n = x.shape().dim(0);
     const int64_t c = x.shape().dim(1);
     const int64_t ih = x.shape().dim(2);
     const int64_t iw = x.shape().dim(3);
     const int64_t oc = weight.shape().dim(0);
-    SCNN_REQUIRE(weight.shape().dim(1) == c,
-                 "split conv channel mismatch");
-    SCNN_REQUIRE(weight.shape().dim(2) == win.kh &&
-                     weight.shape().dim(3) == win.kw,
-                 "split conv kernel extent mismatch");
-    SCNN_CHECK(scheme.h.parts() > 0 && scheme.w.parts() > 0,
-               "empty split scheme");
+    if (lintParallelEnabled())
+        lintSplitPlan(buildSplitConvBackwardPlan(
+                          std::min<int64_t>(n, 2), c, ih, iw, oc, win,
+                          scheme),
+                      "split conv backward");
 
     const int64_t out_h = scheme.h.pieces.back().out_end;
     const int64_t out_w = scheme.w.pieces.back().out_end;
     SCNN_CHECK(grad_out.shape() == Shape({n, oc, out_h, out_w}),
-               "split conv grad_out shape mismatch: "
+               "conv2d grad_out shape mismatch: "
                    << grad_out.shape().toString());
     SCNN_CHECK(grad_w.shape() == weight.shape(),
                "grad_w must be pre-shaped like weight");
     const bool has_bias = grad_b.numel() > 0;
     if (has_bias)
-        SCNN_REQUIRE(grad_b.numel() == oc,
-                     "split conv grad_b size mismatch");
-
-    for (int hi = 0; hi < scheme.h.parts(); ++hi) {
-        const SplitPiece1d &ph = scheme.h.pieces[hi];
-        for (int wi = 0; wi < scheme.w.parts(); ++wi) {
-            const SplitPiece1d &pw = scheme.w.pieces[wi];
-            const Window2d local = patchWindow(win, scheme, hi, wi);
-            SCNN_CHECK(local.outH(ph.inLen()) == ph.outLen() &&
-                           local.outW(pw.inLen()) == pw.outLen(),
-                       "split scheme geometry mismatch for patch ("
-                           << hi << ", " << wi << ")");
-        }
-    }
+        SCNN_REQUIRE(grad_b.numel() == oc, "conv2d grad_b size mismatch");
 
     const int64_t krows = c * win.kh * win.kw;
     const int64_t ospatial = out_h * out_w;
@@ -806,50 +623,18 @@ splitConv2dBackwardImpl(const Tensor &x, const Tensor &weight,
     auto &arena = ScratchArena::tls();
     auto guard = arena.scope();
 
-    // dgrad operand: W^T packed A panels, A(i, p) = weight[p*krows+i].
-    // Fused serves them from the keyed cache (a dgrad key, so one
-    // layer caches its forward and backward layouts side by side);
-    // the pinned reference packs fresh every call.
-    const float *wt_panels = nullptr;
-    PanelRef wref;
-    if (materialize) {
-        float *fresh = arena.alloc(panel_floats);
-        gemmPackAStrided(krows, oc, 1.0f, weight.data(), /*rs=*/1,
-                         /*cs=*/krows, fresh);
-        wt_panels = fresh;
-    } else {
-#ifndef NDEBUG
-        const int64_t packs_before = gemmPackACalls();
-        const SplitWeightCacheStats stats_before =
-            splitWeightCacheStats();
-#endif
-        wref = weightCache().lookupOrPack(
-            weight.data(), oc * krows, krows, oc, PanelKind::Dgrad,
-            panel_floats, [&](float *dst) {
-                gemmPackAStrided(krows, oc, 1.0f, weight.data(),
-                                 /*rs=*/1, /*cs=*/krows, dst);
-            });
-#ifndef NDEBUG
-        if (splitWeightCacheStats().hits > stats_before.hits)
-            SCNN_CHECK(gemmPackACalls() == packs_before,
-                       "weight-cache hit must not repack panels");
-#endif
-        wt_panels = wref.panels;
-    }
+    // dgrad operand: W^T packed A panels, A(i, p) = weight[p*krows+i],
+    // shared read-only by every worker.
+    float *wt_panels = arena.alloc(panel_floats);
+    gemmPackAStrided(krows, oc, 1.0f, weight.data(), /*rs=*/1,
+                     /*cs=*/krows, wt_panels);
 
     const int64_t wave = std::max<int64_t>(1, globalThreads());
     float *gw_acc = arena.alloc(wave * krows * oc);
     float *gb_acc = has_bias ? arena.alloc(wave * oc) : nullptr;
 
-    int64_t max_ph_len = 0;
-    for (const SplitPiece1d &p : scheme.h.pieces)
-        max_ph_len = std::max(max_ph_len, p.inLen());
-    int64_t max_pw_len = 0;
-    for (const SplitPiece1d &p : scheme.w.pieces)
-        max_pw_len = std::max(max_pw_len, p.inLen());
-
     std::unique_ptr<ShadowSession> shadow;
-    if (!materialize && shadowAccessEnabled()) {
+    if (shadowAccessEnabled()) {
         shadow = std::make_unique<ShadowSession>(
             buildSplitConvBackwardPlan(n, c, ih, iw, oc, win, scheme));
         shadow->bind("grad_x", grad_x.data());
@@ -874,12 +659,6 @@ splitConv2dBackwardImpl(const Tensor &x, const Tensor &weight,
                 warena.alloc(gemmPackedBSize(max_band_cols, oc));
             float *pb_go =
                 warena.alloc(gemmPackedBSize(oc, max_band_cols));
-            float *patch_buf =
-                materialize ? warena.alloc(c * max_ph_len * max_pw_len)
-                            : nullptr;
-            float *go_buf =
-                materialize ? warena.alloc(oc * max_band_cols)
-                            : nullptr;
             for (int64_t wi = begin; wi < end; ++wi) {
                 const int64_t in = w0 + wi;
                 const float *go = grad_out.data() + in * oc * ospatial;
@@ -891,12 +670,11 @@ splitConv2dBackwardImpl(const Tensor &x, const Tensor &weight,
                         bands[static_cast<size_t>(bi)];
                     const SplitPiece1d &ph =
                         scheme.h.pieces[static_cast<size_t>(band.hi)];
-                    const int64_t rows = band.oy1 - band.oy0;
-                    const int64_t nb = rows * out_w;
+                    const int64_t nb = (band.oy1 - band.oy0) * out_w;
                     const float *go_band =
                         go + (ph.out_start + band.oy0) * out_w;
                     if (shadow) {
-                        shadowSetItem(in * n_bands + bi);
+                        shadow->setItem(in * n_bands + bi);
                         // The band's grad_out rows of every output
                         // channel and its shared panel read; input
                         // reads and grad_x scatters are recorded
@@ -911,60 +689,25 @@ splitConv2dBackwardImpl(const Tensor &x, const Tensor &weight,
                             scheme.w.pieces[static_cast<size_t>(pi)];
                         const PatchView view{ph.in_start, pw.in_start,
                                              ph.inLen(), pw.inLen()};
-                        const Window2d local =
-                            patchWindow(win, scheme, band.hi, pi);
-                        if (!materialize) {
-                            im2colViewStrided(img, c, ih, iw, view,
-                                              local, band.oy0,
-                                              band.oy1,
-                                              col + pw.out_start, nb,
-                                              out_w);
-                            continue;
-                        }
-                        // Reference: bounce-copy the patch rectangle
-                        // and stage from the copy — byte-equal
-                        // columns, but no view machinery on the read
-                        // side.
-                        for (int64_t ic = 0; ic < c; ++ic)
-                            for (int64_t y = 0; y < view.ih; ++y)
-                                std::memcpy(
-                                    patch_buf +
-                                        (ic * view.ih + y) * view.iw,
-                                    img + ic * ih * iw +
-                                        (view.r0 + y) * iw + view.c0,
-                                    static_cast<size_t>(view.iw) *
-                                        sizeof(float));
                         im2colViewStrided(
-                            patch_buf, c, view.ih, view.iw,
-                            PatchView::full(view.ih, view.iw), local,
-                            band.oy0, band.oy1, col + pw.out_start,
-                            nb, out_w);
-                    }
-                    const float *go_src = go_band;
-                    int64_t go_ld = ospatial;
-                    if (materialize) {
-                        for (int64_t o = 0; o < oc; ++o)
-                            std::memcpy(
-                                go_buf + o * nb,
-                                go_band + o * ospatial,
-                                static_cast<size_t>(nb) *
-                                    sizeof(float));
-                        go_src = go_buf;
-                        go_ld = nb;
+                            img, c, ih, iw, view,
+                            patchWindow(win, scheme, band.hi, pi),
+                            band.oy0, band.oy1, col + pw.out_start, nb,
+                            out_w);
                     }
                     // wgrad: gw_img (krows x oc, grad_w transposed)
                     // accumulates this band's columns x grad_out^T
                     // product; beta = 1 chains bands ascending.
                     gemmPackA(krows, nb, 1.0f, col, pa_col);
-                    gemmPackBStrided(nb, oc, go_src, /*rs=*/1,
-                                     /*cs=*/go_ld, pb_got);
+                    gemmPackBStrided(nb, oc, go_band, /*rs=*/1,
+                                     /*cs=*/ospatial, pb_got);
                     gemmPackedAB(krows, oc, nb, pa_col, pb_got,
                                  bi == 0 ? 0.0f : 1.0f, gw_img, oc);
                     // dgrad: gcol = W^T x grad_out band, scattered
                     // per width patch in ascending order.
-                    gemmPackB(oc, nb, go_src, /*ldb=*/go_ld, pb_go);
-                    gemmPackedAB(krows, nb, oc, wt_panels, pb_go,
-                                 0.0f, gcol, nb);
+                    gemmPackB(oc, nb, go_band, /*ldb=*/ospatial, pb_go);
+                    gemmPackedAB(krows, nb, oc, wt_panels, pb_go, 0.0f,
+                                 gcol, nb);
                     for (int pi = 0; pi < scheme.w.parts(); ++pi) {
                         const SplitPiece1d &pw =
                             scheme.w.pieces[static_cast<size_t>(pi)];
@@ -979,7 +722,7 @@ splitConv2dBackwardImpl(const Tensor &x, const Tensor &weight,
                 if (has_bias) {
                     float *gb = gb_acc + wi * oc;
                     if (shadow) {
-                        shadowSetItem(n * n_bands + in);
+                        shadow->setItem(n * n_bands + in);
                         shadowRecord(go, oc * ospatial, false);
                     }
                     std::fill(gb, gb + oc, 0.0f);
@@ -990,7 +733,7 @@ splitConv2dBackwardImpl(const Tensor &x, const Tensor &weight,
         for (int64_t wi = 0; wi < wn; ++wi) {
             const int64_t in = w0 + wi;
             if (shadow) {
-                shadowSetItem(n * n_bands + n + in);
+                shadow->setItem(n * n_bands + n + in);
                 shadowRecord(grad_w.data(), oc * krows, true);
                 if (has_bias)
                     shadowRecord(grad_b.data(), oc, true);
@@ -1008,83 +751,27 @@ splitConv2dBackwardImpl(const Tensor &x, const Tensor &weight,
             }
         }
     }
-    if (shadow) {
-        const std::vector<Diagnostic> escapes = shadow->check();
-        SCNN_CHECK(escapes.empty(),
-                   "shadow-access validator: "
-                       << escapes.size()
-                       << " SA607 escape(s) in split conv backward; "
-                          "first: "
-                       << escapes.front().toString());
-    }
-}
-
-} // namespace
-
-void
-splitConv2dBackwardFused(const Tensor &x, const Tensor &weight,
-                         const Tensor &grad_out, const Window2d &win,
-                         const SplitScheme2d &scheme, Tensor &grad_x,
-                         Tensor &grad_w, Tensor &grad_b)
-{
-    splitConv2dBackwardImpl(x, weight, grad_out, win, scheme, grad_x,
-                            grad_w, grad_b, /*materialize=*/false);
-}
-
-void
-splitConv2dBackwardMaterialized(const Tensor &x, const Tensor &weight,
-                                const Tensor &grad_out,
-                                const Window2d &win,
-                                const SplitScheme2d &scheme,
-                                Tensor &grad_x, Tensor &grad_w,
-                                Tensor &grad_b)
-{
-    splitConv2dBackwardImpl(x, weight, grad_out, win, scheme, grad_x,
-                            grad_w, grad_b, /*materialize=*/true);
-}
-
-void
-splitConv2dBackward(const Tensor &x, const Tensor &weight,
-                    const Tensor &grad_out, const Window2d &win,
-                    const SplitScheme2d &scheme, Tensor &grad_x,
-                    Tensor &grad_w, Tensor &grad_b)
-{
-    if (lintParallelEnabled())
-        lintSplitPlan(buildSplitConvBackwardPlan(
-                          std::min<int64_t>(x.shape().dim(0), 2),
-                          x.shape().dim(1), x.shape().dim(2),
-                          x.shape().dim(3), weight.shape().dim(0),
-                          win, scheme),
-                      "split conv backward");
-    if (envMaterialize()) {
-        splitConv2dBackwardMaterialized(x, weight, grad_out, win,
-                                        scheme, grad_x, grad_w,
-                                        grad_b);
-        return;
-    }
-    splitConv2dBackwardFused(x, weight, grad_out, win, scheme, grad_x,
-                             grad_w, grad_b);
+    if (shadow)
+        checkShadow(*shadow, "split conv backward");
 }
 
 namespace {
 
 /**
- * Shared driver for the split pool backward paths: one image per
- * worker, the image's patches scattered serially ascending so halo
- * targets (k > s windows straddling a patch seam) accumulate in a
- * fixed order. @p scatter receives the patch geometry plus the
- * grad_out block to read — either the parent tensor directly (fused)
- * or a bounce copy with identical contents (materialized) — and adds
- * into grad_x through the patch's view; both paths therefore produce
- * identical bytes.
+ * Shared driver for split pool backward: one image per worker, the
+ * image's patches scattered serially ascending so halo targets
+ * (k > s windows straddling a patch seam) accumulate in a fixed
+ * order. @p scatter adds patch (hi, wi) of image @p in into grad_x
+ * through the patch's view, reading grad_out in place.
  */
 template <typename Scatter>
 Tensor
 splitPool2dBackwardImpl(const Shape &in_shape, const Tensor &grad_out,
-                        const SplitScheme2d &scheme, bool materialize,
+                        const Window2d &win,
+                        const SplitScheme2d &scheme, const char *what,
                         Scatter &&scatter)
 {
-    SCNN_REQUIRE(in_shape.rank() == 4, "split pool input must be NCHW");
+    SCNN_REQUIRE(in_shape.rank() == 4, "pool input must be NCHW");
     SCNN_CHECK(scheme.h.parts() > 0 && scheme.w.parts() > 0,
                "empty split scheme");
     const int64_t n = in_shape.dim(0);
@@ -1094,20 +781,22 @@ splitPool2dBackwardImpl(const Shape &in_shape, const Tensor &grad_out,
     const int64_t out_h = scheme.h.pieces.back().out_end;
     const int64_t out_w = scheme.w.pieces.back().out_end;
     SCNN_CHECK(grad_out.shape() == Shape({n, c, out_h, out_w}),
-               "split pool grad_out shape mismatch: "
+               "pool grad_out shape mismatch: "
                    << grad_out.shape().toString());
+    if (lintParallelEnabled())
+        lintSplitPlan(buildSplitPoolBackwardPlan(std::min<int64_t>(n, 2),
+                                                 c, ih, iw, win, scheme),
+                      what);
 
-    const int hp = scheme.h.parts();
     const int wp = scheme.w.parts();
-    const int64_t parts = int64_t(hp) * wp;
+    const int64_t parts = int64_t(scheme.h.parts()) * wp;
 
     Tensor grad_x(in_shape); // zero: scatter-add target
 
     std::unique_ptr<ShadowSession> shadow;
-    if (!materialize && shadowAccessEnabled()) {
+    if (shadowAccessEnabled()) {
         shadow = std::make_unique<ShadowSession>(
-            buildSplitPoolBackwardPlan(n, c, ih, iw, Window2d{},
-                                       scheme));
+            buildSplitPoolBackwardPlan(n, c, ih, iw, win, scheme));
         shadow->bind("grad_x", grad_x.data());
         shadow->bind("grad_out", grad_out.data());
     }
@@ -1120,7 +809,7 @@ splitPool2dBackwardImpl(const Shape &in_shape, const Tensor &grad_out,
                 const SplitPiece1d &ph = scheme.h.pieces[hi];
                 const SplitPiece1d &pw = scheme.w.pieces[wi];
                 if (shadow) {
-                    shadowSetItem(in * parts + pi);
+                    shadow->setItem(in * parts + pi);
                     // The patch's input-hull write and output-block
                     // read — the spans the SA6xx backward model
                     // predicts for this item.
@@ -1144,25 +833,17 @@ splitPool2dBackwardImpl(const Shape &in_shape, const Tensor &grad_out,
             }
         }
     });
-    if (shadow) {
-        const std::vector<Diagnostic> escapes = shadow->check();
-        SCNN_CHECK(escapes.empty(),
-                   "shadow-access validator: "
-                       << escapes.size()
-                       << " SA607 escape(s) in split pool backward; "
-                          "first: "
-                       << escapes.front().toString());
-    }
+    if (shadow)
+        checkShadow(*shadow, what);
     return grad_x;
 }
 
 } // namespace
 
 Tensor
-splitMaxPool2dBackwardFused(const Shape &in_shape,
-                            const Tensor &grad_out,
-                            const std::vector<int64_t> &argmax,
-                            const SplitScheme2d &scheme)
+splitMaxPool2dBackward(const Shape &in_shape, const Tensor &grad_out,
+                       const std::vector<int64_t> &argmax,
+                       const SplitScheme2d &scheme)
 {
     SCNN_CHECK(static_cast<int64_t>(argmax.size()) == grad_out.numel(),
                "argmax size mismatch");
@@ -1170,7 +851,8 @@ splitMaxPool2dBackwardFused(const Shape &in_shape,
     const int64_t out_h = scheme.h.pieces.back().out_end;
     const int64_t out_w = scheme.w.pieces.back().out_end;
     return splitPool2dBackwardImpl(
-        in_shape, grad_out, scheme, /*materialize=*/false,
+        in_shape, grad_out, Window2d{}, scheme,
+        "split max-pool backward",
         [&](Tensor &gx, int64_t in, int hi, int wi) {
             const SplitPiece1d &ph = scheme.h.pieces[hi];
             const SplitPiece1d &pw = scheme.w.pieces[wi];
@@ -1192,197 +874,55 @@ splitMaxPool2dBackwardFused(const Shape &in_shape,
 }
 
 Tensor
-splitMaxPool2dBackwardMaterialized(const Shape &in_shape,
-                                   const Tensor &grad_out,
-                                   const std::vector<int64_t> &argmax,
-                                   const SplitScheme2d &scheme)
-{
-    SCNN_CHECK(static_cast<int64_t>(argmax.size()) == grad_out.numel(),
-               "argmax size mismatch");
-    const int64_t c = in_shape.dim(1);
-    const int64_t out_h = scheme.h.pieces.back().out_end;
-    const int64_t out_w = scheme.w.pieces.back().out_end;
-    return splitPool2dBackwardImpl(
-        in_shape, grad_out, scheme, /*materialize=*/true,
-        [&](Tensor &gx, int64_t in, int hi, int wi) {
-            const SplitPiece1d &ph = scheme.h.pieces[hi];
-            const SplitPiece1d &pw = scheme.w.pieces[wi];
-            // Reference: bounce-copy the block's grad_out values and
-            // argmax slots, then scatter in the identical order.
-            const int64_t bh = ph.outLen();
-            const int64_t bw = pw.outLen();
-            std::vector<float> go_buf(
-                static_cast<size_t>(c * bh * bw));
-            std::vector<int64_t> am_buf(
-                static_cast<size_t>(c * bh * bw));
-            int64_t bo = 0;
-            for (int64_t ic = 0; ic < c; ++ic)
-                for (int64_t oy = ph.out_start; oy < ph.out_end; ++oy)
-                    for (int64_t ox = pw.out_start; ox < pw.out_end;
-                         ++ox, ++bo) {
-                        const int64_t oi =
-                            ((in * c + ic) * out_h + oy) * out_w + ox;
-                        go_buf[static_cast<size_t>(bo)] =
-                            grad_out.at(oi);
-                        am_buf[static_cast<size_t>(bo)] =
-                            argmax[static_cast<size_t>(oi)];
-                    }
-            for (int64_t i = 0; i < bo; ++i) {
-                const int64_t idx = am_buf[static_cast<size_t>(i)];
-                if (idx >= 0)
-                    gx.at(idx) += go_buf[static_cast<size_t>(i)];
-            }
-        });
-}
-
-Tensor
-splitMaxPool2dBackward(const Shape &in_shape, const Tensor &grad_out,
-                       const std::vector<int64_t> &argmax,
-                       const SplitScheme2d &scheme)
-{
-    if (lintParallelEnabled())
-        lintSplitPlan(buildSplitPoolBackwardPlan(
-                          std::min<int64_t>(in_shape.dim(0), 2),
-                          in_shape.dim(1), in_shape.dim(2),
-                          in_shape.dim(3), Window2d{}, scheme),
-                      "split max-pool backward");
-    if (envMaterialize())
-        return splitMaxPool2dBackwardMaterialized(in_shape, grad_out,
-                                                  argmax, scheme);
-    return splitMaxPool2dBackwardFused(in_shape, grad_out, argmax,
-                                       scheme);
-}
-
-namespace {
-
-/** The avg-pool patch scatter: the exact adjoint of avgPool2dPatch —
- * every in-view tap of an output in the patch block receives
- * grad * 1/(kh*kw) (count_include_pad: out-of-view taps are parent
- * padding and get nothing, exactly as the forward reads them as
- * zero). @p go points at the block's first element; rows are
- * @p go_rs apart and channels @p go_cs apart, so the fused path
- * reads the parent grad_out in place and the reference path reads a
- * contiguous bounce copy — same values, same order, same bytes. */
-void
-avgPoolPatchScatter(Tensor &gx, const float *go, int64_t go_rs,
-                    int64_t go_cs, int64_t in, int64_t c, int64_t ih,
-                    int64_t iw, const Window2d &win,
-                    const SplitScheme2d &scheme, int hi, int wi)
-{
-    const SplitPiece1d &ph = scheme.h.pieces[hi];
-    const SplitPiece1d &pw = scheme.w.pieces[wi];
-    const PatchView view{ph.in_start, pw.in_start, ph.inLen(),
-                         pw.inLen()};
-    const Window2d local = patchWindow(win, scheme, hi, wi);
-    const float inv_area =
-        1.0f / static_cast<float>(win.kh * win.kw);
-    const int64_t bh = ph.outLen();
-    const int64_t bw = pw.outLen();
-    for (int64_t ic = 0; ic < c; ++ic) {
-        float *chan = gx.data() + (in * c + ic) * ih * iw;
-        const float *gchan = go + ic * go_cs;
-        for (int64_t oy = 0; oy < bh; ++oy)
-            for (int64_t ox = 0; ox < bw; ++ox) {
-                const float g = gchan[oy * go_rs + ox] * inv_area;
-                for (int64_t ky = 0; ky < local.kh; ++ky) {
-                    const int64_t iy =
-                        oy * local.sh - local.ph_b + ky;
-                    if (iy < 0 || iy >= view.ih)
-                        continue;
-                    for (int64_t kx = 0; kx < local.kw; ++kx) {
-                        const int64_t ix =
-                            ox * local.sw - local.pw_b + kx;
-                        if (ix >= 0 && ix < view.iw)
-                            chan[view.parentOffset(iy, ix, iw)] += g;
-                    }
-                }
-            }
-    }
-}
-
-} // namespace
-
-Tensor
-splitAvgPool2dBackwardFused(const Shape &in_shape,
-                            const Tensor &grad_out,
-                            const Window2d &win,
-                            const SplitScheme2d &scheme)
-{
-    const int64_t c = in_shape.dim(1);
-    const int64_t ih = in_shape.dim(2);
-    const int64_t iw = in_shape.dim(3);
-    const int64_t out_h = scheme.h.pieces.back().out_end;
-    const int64_t out_w = scheme.w.pieces.back().out_end;
-    return splitPool2dBackwardImpl(
-        in_shape, grad_out, scheme, /*materialize=*/false,
-        [&](Tensor &gx, int64_t in, int hi, int wi) {
-            const SplitPiece1d &ph = scheme.h.pieces[hi];
-            const SplitPiece1d &pw = scheme.w.pieces[wi];
-            // Zero-copy: the scatter reads the block straight out of
-            // the parent grad_out at the parent strides.
-            const float *go = grad_out.data() +
-                              (in * c * out_h + ph.out_start) * out_w +
-                              pw.out_start;
-            avgPoolPatchScatter(gx, go, /*go_rs=*/out_w,
-                                /*go_cs=*/out_h * out_w, in, c, ih,
-                                iw, win, scheme, hi, wi);
-        });
-}
-
-Tensor
-splitAvgPool2dBackwardMaterialized(const Shape &in_shape,
-                                   const Tensor &grad_out,
-                                   const Window2d &win,
-                                   const SplitScheme2d &scheme)
-{
-    const int64_t c = in_shape.dim(1);
-    const int64_t ih = in_shape.dim(2);
-    const int64_t iw = in_shape.dim(3);
-    const int64_t out_h = scheme.h.pieces.back().out_end;
-    const int64_t out_w = scheme.w.pieces.back().out_end;
-    return splitPool2dBackwardImpl(
-        in_shape, grad_out, scheme, /*materialize=*/true,
-        [&](Tensor &gx, int64_t in, int hi, int wi) {
-            const SplitPiece1d &ph = scheme.h.pieces[hi];
-            const SplitPiece1d &pw = scheme.w.pieces[wi];
-            // Reference: bounce-copy the block, scatter from the
-            // copy in the identical order.
-            const int64_t bh = ph.outLen();
-            const int64_t bw = pw.outLen();
-            std::vector<float> block(
-                static_cast<size_t>(c * bh * bw));
-            for (int64_t ic = 0; ic < c; ++ic)
-                for (int64_t oy = 0; oy < bh; ++oy)
-                    std::memcpy(
-                        block.data() + (ic * bh + oy) * bw,
-                        grad_out.data() +
-                            ((in * c + ic) * out_h + ph.out_start +
-                             oy) *
-                                out_w +
-                            pw.out_start,
-                        static_cast<size_t>(bw) * sizeof(float));
-            avgPoolPatchScatter(gx, block.data(), /*go_rs=*/bw,
-                                /*go_cs=*/bh * bw, in, c, ih, iw, win,
-                                scheme, hi, wi);
-        });
-}
-
-Tensor
 splitAvgPool2dBackward(const Shape &in_shape, const Tensor &grad_out,
                        const Window2d &win,
                        const SplitScheme2d &scheme)
 {
-    if (lintParallelEnabled())
-        lintSplitPlan(buildSplitPoolBackwardPlan(
-                          std::min<int64_t>(in_shape.dim(0), 2),
-                          in_shape.dim(1), in_shape.dim(2),
-                          in_shape.dim(3), win, scheme),
-                      "split avg-pool backward");
-    if (envMaterialize())
-        return splitAvgPool2dBackwardMaterialized(in_shape, grad_out,
-                                                  win, scheme);
-    return splitAvgPool2dBackwardFused(in_shape, grad_out, win,
-                                       scheme);
+    checkSchemeGeometry(win, scheme);
+    const int64_t c = in_shape.dim(1);
+    const int64_t ih = in_shape.dim(2);
+    const int64_t iw = in_shape.dim(3);
+    const int64_t out_h = scheme.h.pieces.back().out_end;
+    const int64_t out_w = scheme.w.pieces.back().out_end;
+    const float inv_area = 1.0f / static_cast<float>(win.kh * win.kw);
+    return splitPool2dBackwardImpl(
+        in_shape, grad_out, win, scheme, "split avg-pool backward",
+        [&](Tensor &gx, int64_t in, int hi, int wi) {
+            // The exact adjoint of avgPool2dPatch: every in-view tap
+            // of an output in the patch block receives
+            // grad * 1/(kh*kw) (count_include_pad: out-of-view taps
+            // are padding and get nothing, exactly as the forward
+            // reads them as zero).
+            const SplitPiece1d &ph = scheme.h.pieces[hi];
+            const SplitPiece1d &pw = scheme.w.pieces[wi];
+            const PatchView view{ph.in_start, pw.in_start, ph.inLen(),
+                                 pw.inLen()};
+            const Window2d local = patchWindow(win, scheme, hi, wi);
+            for (int64_t ic = 0; ic < c; ++ic) {
+                float *chan = gx.data() + (in * c + ic) * ih * iw;
+                const float *gchan =
+                    grad_out.data() +
+                    ((in * c + ic) * out_h + ph.out_start) * out_w +
+                    pw.out_start;
+                for (int64_t oy = 0; oy < ph.outLen(); ++oy)
+                    for (int64_t ox = 0; ox < pw.outLen(); ++ox) {
+                        const float g = gchan[oy * out_w + ox] * inv_area;
+                        for (int64_t ky = 0; ky < local.kh; ++ky) {
+                            const int64_t iy =
+                                oy * local.sh - local.ph_b + ky;
+                            if (iy < 0 || iy >= view.ih)
+                                continue;
+                            for (int64_t kx = 0; kx < local.kw; ++kx) {
+                                const int64_t ix =
+                                    ox * local.sw - local.pw_b + kx;
+                                if (ix >= 0 && ix < view.iw)
+                                    chan[view.parentOffset(iy, ix,
+                                                           iw)] += g;
+                            }
+                        }
+                    }
+            }
+        });
 }
 
 } // namespace scnn

@@ -1,7 +1,12 @@
 /**
  * @file
- * Eager execution of a split window-based operation (Eqs. 4-7):
- * Split_W(X, I) -> per-patch Op with computed paddings -> concat.
+ * The window-op engine: split execution of conv and pooling
+ * (Eqs. 4-7, Split_W(X, I) -> per-patch Op with computed paddings ->
+ * concat) without materializing a patch. Patches are views into the
+ * parent tensor and every patch writes its block of the parent
+ * output in place. Unsplit ops are the one-piece scheme
+ * (unsplitScheme), so conv2dForwardAuto, conv2dBackward and the pool
+ * kernels run this same code.
  *
  * The 2-D case composes two independent 1-D schemes (height and
  * width), yielding h.parts() x w.parts() patches as in Figure 2.
@@ -9,14 +14,11 @@
 #ifndef SCNN_CORE_SPLIT_OP_H
 #define SCNN_CORE_SPLIT_OP_H
 
-#include <iterator>
 #include <vector>
 
 #include "core/split_scheme.h"
 #include "kernels/window.h"
 #include "tensor/tensor.h"
-#include "tensor/tensor_ops.h"
-#include "util/threadpool.h"
 
 namespace scnn {
 
@@ -48,60 +50,19 @@ SplitScheme2d splitWindowOp2d(const Window2d &win, int64_t ih, int64_t iw,
 Window2d patchWindow(const Window2d &win, const SplitScheme2d &scheme,
                      int hi, int wi);
 
-/** Slice the input patch (hi, wi) out of an NCHW tensor. */
-Tensor slicePatch(const Tensor &x, const SplitScheme2d &scheme, int hi,
-                  int wi);
-
 /**
- * Run a window op patch-by-patch and concatenate the results; the
- * reference implementation of Eqs. 4-7 used by tests and examples.
- *
- * @param x NCHW input.
- * @param scheme 2-D split scheme built for x's spatial extents.
- * @param op callable (const Tensor &patch, const Window2d &local)
- *        -> Tensor running the underlying operation on one patch.
- *
- * Patches are independent, so they fan out across the global thread
- * pool; each patch result lands in its own pre-sized slot and the
- * final concatenation runs on the caller, so the output is
- * bitwise-identical for any thread count.
+ * The one-piece scheme of an unsplit window op: a single patch per
+ * axis covering the whole ih x iw input with the op's own paddings
+ * (the N = 1 case of Eqs. 4-7). Every unsplit conv and pool runs
+ * through the split engine on this scheme, so split and unsplit
+ * layers share one implementation; k < s windows need no special
+ * case because the paddings are the op's, not derived ones.
  */
-template <typename OpFn>
-Tensor
-runSplitOp(const Tensor &x, const Window2d &win,
-           const SplitScheme2d &scheme, OpFn &&op)
-{
-    const int hp = scheme.h.parts();
-    const int wp = scheme.w.parts();
-    std::vector<Tensor> patches(static_cast<size_t>(hp) *
-                                static_cast<size_t>(wp));
-    globalPool().parallelFor(
-        static_cast<int64_t>(patches.size()),
-        [&](int64_t begin, int64_t end) {
-            for (int64_t i = begin; i < end; ++i) {
-                const int hi = static_cast<int>(i) / wp;
-                const int wi = static_cast<int>(i) % wp;
-                Tensor patch = slicePatch(x, scheme, hi, wi);
-                patches[static_cast<size_t>(i)] =
-                    op(patch, patchWindow(win, scheme, hi, wi));
-            }
-        });
-    std::vector<Tensor> rows;
-    rows.reserve(static_cast<size_t>(hp));
-    for (int hi = 0; hi < hp; ++hi) {
-        std::vector<Tensor> cols(
-            std::make_move_iterator(patches.begin() +
-                                    static_cast<size_t>(hi) * wp),
-            std::make_move_iterator(patches.begin() +
-                                    static_cast<size_t>(hi + 1) * wp));
-        rows.push_back(concatDim(cols, 3));
-    }
-    return concatDim(rows, 2);
-}
+SplitScheme2d unsplitScheme(const Window2d &win, int64_t ih, int64_t iw);
 
-/** @name Fused-conv band decomposition
+/** @name Conv band decomposition
  *
- * The fused conv path's unit of parallel work, exported so the SA6xx
+ * The conv engine's unit of parallel work, exported so the SA6xx
  * parallel-safety analyzer (analysis/parallel_model.h) models the
  * *same* decomposition the kernel executes: both sides call
  * splitConvBandItems, so a change to the banding changes the proof
@@ -109,13 +70,13 @@ runSplitOp(const Tensor &x, const Window2d &win,
  */
 ///@{
 
-/** Output rows per fused-conv work band. Fixed (never derived from
+/** Output rows per conv work band. Fixed (never derived from
  * the thread count) so the band decomposition — and with it every
  * byte of the result — is identical at any pool size. Even, so
  * Winograd 2-row tiles never straddle bands. */
 constexpr int64_t kSplitConvRowBand = 16;
 
-/** One unit of fused conv work: patch-local output rows [oy0, oy1)
+/** One unit of conv work: patch-local output rows [oy0, oy1)
  * of patch-row group hi (all width patches of that group). */
 struct SplitBandItem
 {
@@ -126,122 +87,89 @@ struct SplitBandItem
 
 /** The flat per-image band list for an H split scheme: each piece's
  * output rows chopped into kSplitConvRowBand-row bands, in (hi, oy0)
- * order. The fused conv work item index is
+ * order. The conv work item index is
  * image * bands.size() + band_index. */
 std::vector<SplitBandItem> splitConvBandItems(const SplitScheme1d &h);
 
 ///@}
 
+/** Which conv kernel the engine runs. */
+enum class ConvKernel
+{
+    Auto,    ///< Winograd when winogradApplicable and the cost model
+             ///< says it wins, im2col + GEMM otherwise
+    Im2col,  ///< halo-aware im2col staging + packed-panel GEMM
+    Winograd ///< batched-GEMM Winograd F(2x2, 3x3); 3x3/1 only
+};
+
 /**
  * Split convolution forward (Eqs. 4-7 applied to conv2d).
  *
- * Default execution is the *fused zero-copy* path (v2): patches are
- * views into the parent tensor (no pad2d copy, no per-patch output
- * tensors, no concat). Each work item is an output-row band of one
- * patch-row group: every patch in the band stages its halo-aware
- * im2col columns into one shared column matrix ordered by parent
- * output position, the matrix is packed into B panels once and
- * consumed across every output-channel tile without repacking, and
- * the GEMM's C is the parent output itself — so the GEMM runs at the
+ * Patches are views into the parent tensor (no pad2d copy, no
+ * per-patch output tensors, no concat). Each work item is an
+ * output-row band of one patch-row group: every patch in the band
+ * stages its halo-aware im2col columns into one shared column matrix
+ * ordered by parent output position, the matrix is packed into B
+ * panels once and consumed across every output-channel tile, and the
+ * GEMM's C is the parent output itself — so the GEMM runs at the
  * unsplit convolution's shape and the split overhead reduces to the
- * per-patch im2col flank handling. Weight panels are packed once per
- * (layer, split) via a keyed cache, not once per call.
+ * per-patch im2col flank handling. The weight operand is packed once
+ * per call into the caller's scratch arena; the Winograd kernel's
+ * transformed U is kept in a one-entry cache so the patch clones of
+ * one layer share a single transform.
  *
- * Kernel selection: when the window is 3x3 stride-1 and
- * winogradCostModelWins says the transform overhead amortizes, the
- * batched-GEMM Winograd patch kernel runs instead of im2col+GEMM.
- * SCNN_SPLIT_WINOGRAD=0 forces Winograd off, =1 forces it on (for
- * applicable windows), unset defers to the cost model. Set
- * SCNN_SPLIT_EXEC=materialize to fall back to the materializing
- * reference path.
+ * @p kernel pins the kernel (tests and benches); Auto applies
+ * winogradApplicable && winogradCostModelWins(c, oc).
  */
 Tensor splitConv2dForward(const Tensor &x, const Tensor &weight,
                           const Tensor &bias, const Window2d &win,
-                          const SplitScheme2d &scheme);
+                          const SplitScheme2d &scheme,
+                          ConvKernel kernel = ConvKernel::Auto);
 
-/**
- * The materializing reference path (slicePatch + per-patch
- * conv2dForwardAuto + concat) — the seed implementation, kept for
- * equivalence tests and as the SCNN_SPLIT_EXEC=materialize fallback.
- */
-Tensor splitConv2dForwardMaterialized(const Tensor &x,
-                                      const Tensor &weight,
-                                      const Tensor &bias,
-                                      const Window2d &win,
-                                      const SplitScheme2d &scheme);
-
-/**
- * The fused zero-copy path, with the kernel choice explicit:
- * @p use_winograd selects the halo-aware batched-GEMM Winograd patch
- * kernel (requires winogradApplicable(win)); otherwise halo-aware
- * im2col feeds packed-panel GEMMs writing straight into the parent
- * output. Exposed for tests and benches; the splitConv2dForward
- * dispatcher makes the choice via the cost model and
- * SCNN_SPLIT_WINOGRAD.
- */
-Tensor splitConv2dForwardFused(const Tensor &x, const Tensor &weight,
-                               const Tensor &bias, const Window2d &win,
-                               const SplitScheme2d &scheme,
-                               bool use_winograd);
-
-/** @name Per-(layer, split) weight-panel cache
+/** @name Winograd weight cache
  *
- * splitConv2dForwardFused packs its weight operand (GEMM A panels,
- * or the 16 packed Winograd U matrices) at most once per layer: a
- * small keyed LRU cache holds the packed panels across calls, keyed
- * by weight identity, shape, kernel choice, and the active
- * microkernel, and validated by a full content hash so in-place
- * weight updates (training) repack instead of serving stale panels.
+ * One entry holding the packed Winograd U of the most recent layer,
+ * keyed by weight pointer, shape and active microkernel and
+ * validated by a word-wise content hash, so in-place weight updates
+ * (SGD) repack instead of serving stale panels. GEMM and dgrad
+ * panels are never cached: they cost less to pack than to hash.
  */
 ///@{
 struct SplitWeightCacheStats
 {
-    int64_t hits = 0;   ///< lookups served from cached panels
-    int64_t misses = 0; ///< lookups that had to pack
-    int64_t evictions = 0; ///< entries displaced at capacity
-    int64_t entries = 0; ///< live cached layers
+    int64_t hits = 0;   ///< lookups served from the cached U
+    int64_t misses = 0; ///< lookups that had to transform and pack
+    int64_t evictions = 0; ///< entries displaced by another layer
+    int64_t entries = 0; ///< live cached layers (0 or 1)
 };
 
 /** Snapshot of the cache counters (process-wide). */
 SplitWeightCacheStats splitWeightCacheStats();
 
-/** Drop every cached panel and zero the counters (tests). */
+/** Drop the cached U and zero the counters. */
 void splitWeightCacheClear();
 ///@}
 
-/** Split max-pool forward: fused zero-copy by default,
- * SCNN_SPLIT_EXEC=materialize falls back to the reference path. */
+/**
+ * Split max-pool forward: one work item per (image, patch), each
+ * pooling a halo-aware PatchView of the parent into its block of the
+ * parent output.
+ *
+ * @param argmax [out] resized to the output size and filled with
+ *        each output's linear index into the whole input tensor (-1
+ *        for all-padding windows), the layout splitMaxPool2dBackward
+ *        and maxPool2dBackward read.
+ */
 Tensor splitMaxPool2dForward(const Tensor &x, const Window2d &win,
-                             const SplitScheme2d &scheme);
+                             const SplitScheme2d &scheme,
+                             std::vector<int64_t> &argmax);
 
-/** Split average-pool forward (same dispatch as max-pool). */
+/** Split average-pool forward (same work items as max-pool). */
 Tensor splitAvgPool2dForward(const Tensor &x, const Window2d &win,
                              const SplitScheme2d &scheme);
 
 /**
- * @name Split pooling, both executions explicit
- *
- * The fused paths read halo-aware PatchViews of the parent and write
- * the strided parent output directly, parallelized over
- * image x patch work items; the materializing paths are the
- * slicePatch + pool + concat reference. Fused and materializing
- * outputs are bitwise-identical (same clip tests, same tap order).
- */
-///@{
-Tensor splitMaxPool2dForwardFused(const Tensor &x, const Window2d &win,
-                                  const SplitScheme2d &scheme);
-Tensor splitAvgPool2dForwardFused(const Tensor &x, const Window2d &win,
-                                  const SplitScheme2d &scheme);
-Tensor splitMaxPool2dForwardMaterialized(const Tensor &x,
-                                         const Window2d &win,
-                                         const SplitScheme2d &scheme);
-Tensor splitAvgPool2dForwardMaterialized(const Tensor &x,
-                                         const Window2d &win,
-                                         const SplitScheme2d &scheme);
-///@}
-
-/**
- * Split convolution backward: the backward twin of the fused forward
+ * Split convolution backward: the backward twin of the forward
  * pipeline. Gradient patches are PatchViews into the parent gradient
  * tensors — no per-patch bounce buffers. Each image's row bands run
  * serially on one worker (images fan out across the pool); per band,
@@ -254,15 +182,15 @@ Tensor splitAvgPool2dForwardMaterialized(const Tensor &x,
  *          accumulator across bands (beta = 1); partials are reduced
  *          into grad_w serially in image order, so the result is
  *          bitwise-identical for any thread count.
- *   dgrad: cached W^T panels (the weight-panel cache under a dgrad
- *          key) contract against the band's grad_out rows, and each
- *          patch scatters its slice of the gradient columns into the
- *          parent grad_x through col2imViewStrided — halo rows
- *          accumulate under the worker's serial band/patch order (the
- *          SA609 ordered-accumulation discipline).
+ *   dgrad: W^T panels (packed once per call) contract against the
+ *          band's grad_out rows, and each patch scatters its slice of
+ *          the gradient columns into the parent grad_x through
+ *          col2imViewStrided — halo rows accumulate under the
+ *          worker's serial band/patch order (the SA609
+ *          ordered-accumulation discipline).
  *
  * The dispatcher lints buildSplitConvBackwardPlan under
- * SCNN_LINT_PARALLEL and honors SCNN_SPLIT_EXEC=materialize.
+ * SCNN_LINT_PARALLEL.
  *
  * @param grad_x [out] overwritten with dL/dx at x's shape.
  * @param grad_w [out] accumulated into (pre-shaped like weight).
@@ -274,43 +202,16 @@ void splitConv2dBackward(const Tensor &x, const Tensor &weight,
                          const SplitScheme2d &scheme, Tensor &grad_x,
                          Tensor &grad_w, Tensor &grad_b);
 
-/** The fused zero-copy backward path (see splitConv2dBackward). */
-void splitConv2dBackwardFused(const Tensor &x, const Tensor &weight,
-                              const Tensor &grad_out,
-                              const Window2d &win,
-                              const SplitScheme2d &scheme,
-                              Tensor &grad_x, Tensor &grad_w,
-                              Tensor &grad_b);
-
-/**
- * The pinned reference path (SCNN_SPLIT_EXEC=materialize): replays
- * the fused path's exact accumulation order while routing every
- * *read* through materialized bounce buffers — sliced patch copies,
- * contiguous grad_out band copies, freshly packed weight panels (no
- * cache). Writes stay direct, so the reference is bitwise-identical
- * to the fused path by construction and a parity failure isolates
- * the zero-copy view machinery.
- */
-void splitConv2dBackwardMaterialized(const Tensor &x,
-                                     const Tensor &weight,
-                                     const Tensor &grad_out,
-                                     const Window2d &win,
-                                     const SplitScheme2d &scheme,
-                                     Tensor &grad_x, Tensor &grad_w,
-                                     Tensor &grad_b);
-
 /**
  * @name Split pooling backward
  *
- * Fused paths scatter gradients through each patch's PatchView into
- * the parent grad_x: a worker owns an image and walks its patches in
- * ascending order, so halo rows (windows straddling a patch seam
- * when k > s) accumulate in a fixed order — bitwise-deterministic
- * for any thread count. The materialized fallbacks bounce-copy the
- * reads (grad_out blocks, argmax blocks) while keeping the identical
- * scatter order, so fused and materialized are bitwise-equal.
+ * Gradients scatter through each patch's PatchView into the parent
+ * grad_x: a worker owns an image and walks its patches in ascending
+ * order, so halo rows (windows straddling a patch seam when k > s)
+ * accumulate in a fixed order — bitwise-deterministic for any thread
+ * count.
  *
- * @p argmax comes from the parent-level maxPool2dForward (linear
+ * @p argmax comes from the parent-level max-pool forward (linear
  * indices into the whole input tensor); every argmax of an output in
  * a patch's block lies inside that patch's input rectangle by the
  * scheme's construction (Eqs. 1-2).
@@ -320,26 +221,11 @@ Tensor splitMaxPool2dBackward(const Shape &in_shape,
                               const Tensor &grad_out,
                               const std::vector<int64_t> &argmax,
                               const SplitScheme2d &scheme);
-Tensor splitMaxPool2dBackwardFused(const Shape &in_shape,
-                                   const Tensor &grad_out,
-                                   const std::vector<int64_t> &argmax,
-                                   const SplitScheme2d &scheme);
-Tensor splitMaxPool2dBackwardMaterialized(
-    const Shape &in_shape, const Tensor &grad_out,
-    const std::vector<int64_t> &argmax, const SplitScheme2d &scheme);
 
 Tensor splitAvgPool2dBackward(const Shape &in_shape,
                               const Tensor &grad_out,
                               const Window2d &win,
                               const SplitScheme2d &scheme);
-Tensor splitAvgPool2dBackwardFused(const Shape &in_shape,
-                                   const Tensor &grad_out,
-                                   const Window2d &win,
-                                   const SplitScheme2d &scheme);
-Tensor splitAvgPool2dBackwardMaterialized(const Shape &in_shape,
-                                          const Tensor &grad_out,
-                                          const Window2d &win,
-                                          const SplitScheme2d &scheme);
 ///@}
 
 } // namespace scnn

@@ -103,7 +103,7 @@ planWithDegradation(const Graph &base, const DeviceSpec &spec,
                               << "' rejected by lint:\n"
                               << renderDiagnosticsText(diags);
             // Suite 6 gate: the rung must also be provably race-free
-            // — its wave schedule and, for split rungs, the fused
+            // — its wave schedule and, for split rungs, the split
             // decomposition at this rung's grid (SA6xx).
             const auto pdiags = analyzeParallelExecution(
                 g, is_split ? sopt.splits_h : 1,

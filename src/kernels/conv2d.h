@@ -1,6 +1,9 @@
 /**
  * @file
- * 2-D convolution forward and backward kernels (im2col + GEMM).
+ * 2-D convolution forward and backward: the split engine
+ * (core/split_op.h) on the one-piece scheme, so unsplit and split
+ * layers run one implementation (band-staged im2col + packed-panel
+ * GEMM, or batched-GEMM Winograd).
  */
 #ifndef SCNN_KERNELS_CONV2D_H
 #define SCNN_KERNELS_CONV2D_H
@@ -11,21 +14,15 @@
 namespace scnn {
 
 /**
- * Forward convolution.
+ * Forward convolution with automatic algorithm selection: Winograd
+ * F(2x2, 3x3) for 3x3 stride-1 windows where winogradCostModelWins,
+ * im2col + GEMM otherwise.
  *
  * @param x input, [N, C, H, W].
  * @param weight [OC, C, kh, kw].
  * @param bias [OC]; pass an empty tensor for no bias.
  * @param win window geometry (kernel extents must match @p weight).
  * @return output, [N, OC, outH, outW].
- */
-Tensor conv2dForward(const Tensor &x, const Tensor &weight,
-                     const Tensor &bias, const Window2d &win);
-
-/**
- * Forward convolution with automatic algorithm selection: Winograd
- * F(2x2, 3x3) for 3x3 stride-1 windows (cuDNN-style fast path, used
- * by the executor), im2col + GEMM otherwise.
  */
 Tensor conv2dForwardAuto(const Tensor &x, const Tensor &weight,
                          const Tensor &bias, const Window2d &win);

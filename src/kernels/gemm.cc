@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
-#include <string_view>
 
 #include "kernels/microkernel.h"
 #include "util/scratch_arena.h"
@@ -249,25 +247,6 @@ blockedCore(int64_t m, int64_t n, int64_t k, const float *a, int64_t a_rs,
             }
         }
     }
-}
-
-bool
-envNaive()
-{
-    static const bool naive = [] {
-        const char *env = std::getenv("SCNN_GEMM");
-        return env != nullptr && std::string_view(env) == "naive";
-    }();
-    return naive;
-}
-
-/** Packing overhead swamps the win below a few K flops. At default
- * (scalar) dispatch both paths are bit-identical, so the cutover is
- * a pure perf choice. */
-bool
-useNaive(int64_t m, int64_t n, int64_t k)
-{
-    return envNaive() || m * n * k < 8 * 1024;
 }
 
 } // namespace
@@ -526,40 +505,25 @@ gemmPackedAB(int64_t m, int64_t n, int64_t k, const float *pa,
                      ldc);
 }
 
-const char *
-gemmKernelName()
-{
-    return envNaive() ? "naive" : "blocked";
-}
-
 void
 gemm(int64_t m, int64_t n, int64_t k, float alpha, const float *a,
      const float *b, float beta, float *c)
 {
-    if (useNaive(m, n, k))
-        gemmNaive(m, n, k, alpha, a, b, beta, c);
-    else
-        gemmBlocked(m, n, k, alpha, a, b, beta, c);
+    gemmBlocked(m, n, k, alpha, a, b, beta, c);
 }
 
 void
 gemmTN(int64_t m, int64_t n, int64_t k, float alpha, const float *a,
        const float *b, float beta, float *c)
 {
-    if (useNaive(m, n, k))
-        gemmTNNaive(m, n, k, alpha, a, b, beta, c);
-    else
-        gemmTNBlocked(m, n, k, alpha, a, b, beta, c);
+    gemmTNBlocked(m, n, k, alpha, a, b, beta, c);
 }
 
 void
 gemmNT(int64_t m, int64_t n, int64_t k, float alpha, const float *a,
        const float *b, float beta, float *c)
 {
-    if (useNaive(m, n, k))
-        gemmNTNaive(m, n, k, alpha, a, b, beta, c);
-    else
-        gemmNTBlocked(m, n, k, alpha, a, b, beta, c);
+    gemmNTBlocked(m, n, k, alpha, a, b, beta, c);
 }
 
 } // namespace scnn

@@ -23,8 +23,8 @@
  * determinism carve-out; they remain deterministic for a given
  * problem at any thread count.
  *
- * `gemm`/`gemmTN`/`gemmNT` select at runtime: blocked by default,
- * naive for tiny problems or when SCNN_GEMM=naive is set.
+ * `gemm`/`gemmTN`/`gemmNT` run the blocked kernels; the naive ones
+ * are test and bench references only.
  */
 #ifndef SCNN_KERNELS_GEMM_H
 #define SCNN_KERNELS_GEMM_H
@@ -101,9 +101,8 @@ void gemmPackA(int64_t m, int64_t k, float alpha, const float *a,
 void gemmPackedA(int64_t m, int64_t n, int64_t k, const float *pa,
                  const float *b, float beta, float *c);
 
-/** Number of gemmPackA calls since process start (monotonic). The
- * split executor's weight-panel cache asserts packs == layers with
- * this counter; it is cheap enough to keep in release builds. */
+/** Number of gemmPackA/gemmPackAStrided calls since process start
+ * (monotonic, all threads); cheap enough to keep in release builds. */
 int64_t gemmPackACalls();
 
 /**
@@ -174,10 +173,6 @@ void gemmPackedABCols(int64_t m, int64_t n, int64_t k, const float *pa,
                       const float *pb, int64_t j0, int64_t j1,
                       float beta, float *c, int64_t ldc);
 ///@}
-
-/** "blocked" or "naive": what the dispatchers currently select for
- * large problems (the SCNN_GEMM environment override). */
-const char *gemmKernelName();
 
 } // namespace scnn
 

@@ -78,24 +78,6 @@ im2colViewStrided(const float *img, int64_t c, int64_t ih, int64_t iw,
 }
 
 void
-im2colView(const float *img, int64_t c, int64_t ih, int64_t iw,
-           const PatchView &view, const Window2d &win, int64_t oy0,
-           int64_t oy1, float *col)
-{
-    const int64_t ow = win.outW(view.iw);
-    im2colViewStrided(img, c, ih, iw, view, win, oy0, oy1, col,
-                      (oy1 - oy0) * ow, ow);
-}
-
-void
-im2col(const float *img, int64_t c, int64_t ih, int64_t iw,
-       const Window2d &win, float *col)
-{
-    im2colView(img, c, ih, iw, PatchView::full(ih, iw), win, 0,
-               win.outH(ih), col);
-}
-
-void
 col2imViewStrided(const float *col, int64_t c, int64_t ih, int64_t iw,
                   const PatchView &view, const Window2d &win,
                   int64_t oy0, int64_t oy1, float *img, int64_t col_ld,
@@ -152,27 +134,6 @@ col2imViewStrided(const float *col, int64_t c, int64_t ih, int64_t iw,
             }
         }
     }
-}
-
-void
-col2imView(const float *col, int64_t c, int64_t ih, int64_t iw,
-           const PatchView &view, const Window2d &win, int64_t oy0,
-           int64_t oy1, float *img)
-{
-    const int64_t ow = win.outW(view.iw);
-    col2imViewStrided(col, c, ih, iw, view, win, oy0, oy1, img,
-                      (oy1 - oy0) * ow, ow);
-}
-
-void
-col2im(const float *col, int64_t c, int64_t ih, int64_t iw,
-       const Window2d &win, float *img)
-{
-    // Full-view adjoint: the hoisted flank bounds visit exactly the
-    // in-bounds (oy, ox) set the seed per-element walk visited, in
-    // the same order, so the accumulation is bit-identical.
-    col2imView(col, c, ih, iw, PatchView::full(ih, iw), win, 0,
-               win.outH(ih), img);
 }
 
 } // namespace scnn

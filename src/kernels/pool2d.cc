@@ -3,6 +3,7 @@
 #include <limits>
 
 #include "analysis/shadow_access.h"
+#include "core/split_op.h"
 #include "util/logging.h"
 #include "util/threadpool.h"
 
@@ -10,7 +11,7 @@ namespace scnn {
 
 namespace {
 
-/** Shadow claims for one fused pool patch: the contiguous input hull
+/** Shadow claims for one pool patch: the contiguous input hull
  * it may read and the per-channel output block it writes — exactly
  * the spans buildSplitPoolPlan predicts for the item. */
 void
@@ -35,59 +36,9 @@ maxPool2dForward(const Tensor &x, const Window2d &win,
                  std::vector<int64_t> &argmax)
 {
     SCNN_REQUIRE(x.shape().rank() == 4, "pool input must be NCHW");
-    const int64_t n = x.shape().dim(0);
-    const int64_t c = x.shape().dim(1);
-    const int64_t ih = x.shape().dim(2);
-    const int64_t iw = x.shape().dim(3);
-    const int64_t oh = win.outH(ih);
-    const int64_t ow = win.outW(iw);
-    SCNN_REQUIRE(oh > 0 && ow > 0, "empty pool output");
-
-    // Every output element and argmax slot is written below, and
-    // images write disjoint ranges, so the batch loop parallelizes
-    // without changing a single bit.
-    Tensor out = Tensor::uninitialized(Shape{n, c, oh, ow});
-    argmax.resize(static_cast<size_t>(n * c * oh * ow));
-
-    globalPool().parallelFor(n, [&](int64_t nb, int64_t ne) {
-        for (int64_t in = nb; in < ne; ++in) {
-            int64_t oi = in * c * oh * ow;
-            for (int64_t ic = 0; ic < c; ++ic) {
-                const float *chan = x.data() + (in * c + ic) * ih * iw;
-                const int64_t chan_base = (in * c + ic) * ih * iw;
-                for (int64_t oy = 0; oy < oh; ++oy) {
-                    for (int64_t ox = 0; ox < ow; ++ox, ++oi) {
-                        float best =
-                            -std::numeric_limits<float>::infinity();
-                        int64_t best_idx = -1;
-                        for (int64_t ky = 0; ky < win.kh; ++ky) {
-                            const int64_t iy =
-                                oy * win.sh - win.ph_b + ky;
-                            if (iy < 0 || iy >= ih)
-                                continue;
-                            for (int64_t kx = 0; kx < win.kw; ++kx) {
-                                const int64_t ix =
-                                    ox * win.sw - win.pw_b + kx;
-                                if (ix < 0 || ix >= iw)
-                                    continue;
-                                const float v = chan[iy * iw + ix];
-                                if (v > best) {
-                                    best = v;
-                                    best_idx =
-                                        chan_base + iy * iw + ix;
-                                }
-                            }
-                        }
-                        // All-padding windows output 0 (and get no
-                        // gradient), matching zero-pad semantics.
-                        out.at(oi) = (best_idx < 0) ? 0.0f : best;
-                        argmax[static_cast<size_t>(oi)] = best_idx;
-                    }
-                }
-            }
-        }
-    });
-    return out;
+    return splitMaxPool2dForward(
+        x, win, unsplitScheme(win, x.shape().dim(2), x.shape().dim(3)),
+        argmax);
 }
 
 Tensor
@@ -117,91 +68,24 @@ Tensor
 avgPool2dForward(const Tensor &x, const Window2d &win)
 {
     SCNN_REQUIRE(x.shape().rank() == 4, "pool input must be NCHW");
-    const int64_t n = x.shape().dim(0);
-    const int64_t c = x.shape().dim(1);
-    const int64_t ih = x.shape().dim(2);
-    const int64_t iw = x.shape().dim(3);
-    const int64_t oh = win.outH(ih);
-    const int64_t ow = win.outW(iw);
-    SCNN_REQUIRE(oh > 0 && ow > 0, "empty pool output");
-    const float inv_area = 1.0f / static_cast<float>(win.kh * win.kw);
-
-    Tensor out = Tensor::uninitialized(Shape{n, c, oh, ow});
-    globalPool().parallelFor(n, [&](int64_t nb, int64_t ne) {
-        for (int64_t in = nb; in < ne; ++in) {
-            int64_t oi = in * c * oh * ow;
-            for (int64_t ic = 0; ic < c; ++ic) {
-                const float *chan = x.data() + (in * c + ic) * ih * iw;
-                for (int64_t oy = 0; oy < oh; ++oy) {
-                    for (int64_t ox = 0; ox < ow; ++ox, ++oi) {
-                        float acc = 0.0f;
-                        for (int64_t ky = 0; ky < win.kh; ++ky) {
-                            const int64_t iy =
-                                oy * win.sh - win.ph_b + ky;
-                            if (iy < 0 || iy >= ih)
-                                continue;
-                            for (int64_t kx = 0; kx < win.kw; ++kx) {
-                                const int64_t ix =
-                                    ox * win.sw - win.pw_b + kx;
-                                if (ix >= 0 && ix < iw)
-                                    acc += chan[iy * iw + ix];
-                            }
-                        }
-                        out.at(oi) = acc * inv_area;
-                    }
-                }
-            }
-        }
-    });
-    return out;
+    return splitAvgPool2dForward(
+        x, win, unsplitScheme(win, x.shape().dim(2), x.shape().dim(3)));
 }
 
 Tensor
 avgPool2dBackward(const Shape &x_shape, const Tensor &grad_out,
                   const Window2d &win)
 {
-    const int64_t n = x_shape.dim(0);
-    const int64_t c = x_shape.dim(1);
-    const int64_t ih = x_shape.dim(2);
-    const int64_t iw = x_shape.dim(3);
-    const int64_t oh = win.outH(ih);
-    const int64_t ow = win.outW(iw);
-    const float inv_area = 1.0f / static_cast<float>(win.kh * win.kw);
-
-    Tensor grad_x(x_shape); // zero: windows may not cover everything
-    globalPool().parallelFor(n, [&](int64_t nb, int64_t ne) {
-        for (int64_t in = nb; in < ne; ++in) {
-            int64_t oi = in * c * oh * ow;
-            for (int64_t ic = 0; ic < c; ++ic) {
-                float *chan = grad_x.data() + (in * c + ic) * ih * iw;
-                for (int64_t oy = 0; oy < oh; ++oy) {
-                    for (int64_t ox = 0; ox < ow; ++ox, ++oi) {
-                        const float g = grad_out.at(oi) * inv_area;
-                        for (int64_t ky = 0; ky < win.kh; ++ky) {
-                            const int64_t iy =
-                                oy * win.sh - win.ph_b + ky;
-                            if (iy < 0 || iy >= ih)
-                                continue;
-                            for (int64_t kx = 0; kx < win.kw; ++kx) {
-                                const int64_t ix =
-                                    ox * win.sw - win.pw_b + kx;
-                                if (ix >= 0 && ix < iw)
-                                    chan[iy * iw + ix] += g;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    });
-    return grad_x;
+    return splitAvgPool2dBackward(
+        x_shape, grad_out, win,
+        unsplitScheme(win, x_shape.dim(2), x_shape.dim(3)));
 }
 
 void
 maxPool2dPatch(const float *img, int64_t c, int64_t ih, int64_t iw,
                const PatchView &view, const Window2d &win, float *out,
                int64_t out_oh, int64_t out_ow, int64_t oy0,
-               int64_t ox0)
+               int64_t ox0, int64_t *argmax, int64_t argmax_base)
 {
     const int64_t oh_p = win.outH(view.ih);
     const int64_t ow_p = win.outW(view.iw);
@@ -209,12 +93,14 @@ maxPool2dPatch(const float *img, int64_t c, int64_t ih, int64_t iw,
                           oy0, ox0, oh_p, ow_p);
     for (int64_t ic = 0; ic < c; ++ic) {
         const float *chan = img + ic * ih * iw;
+        const int64_t chan_base = argmax_base + ic * ih * iw;
         float *ochan = out + ic * out_oh * out_ow;
         for (int64_t oy = 0; oy < oh_p; ++oy) {
-            float *orow = ochan + (oy0 + oy) * out_ow + ox0;
+            const int64_t row_off = (oy0 + oy) * out_ow + ox0;
+            float *orow = ochan + row_off;
             for (int64_t ox = 0; ox < ow_p; ++ox) {
                 float best = -std::numeric_limits<float>::infinity();
-                bool found = false;
+                int64_t best_idx = -1;
                 for (int64_t ky = 0; ky < win.kh; ++ky) {
                     const int64_t iy = oy * win.sh - win.ph_b + ky;
                     if (iy < 0 || iy >= view.ih)
@@ -223,17 +109,18 @@ maxPool2dPatch(const float *img, int64_t c, int64_t ih, int64_t iw,
                         const int64_t ix = ox * win.sw - win.pw_b + kx;
                         if (ix < 0 || ix >= view.iw)
                             continue;
-                        const float v =
-                            chan[view.parentOffset(iy, ix, iw)];
-                        // Same comparison as maxPool2dForward, so
-                        // NaN-laden windows resolve identically.
-                        if (v > best) {
-                            best = v;
-                            found = true;
+                        const int64_t off =
+                            view.parentOffset(iy, ix, iw);
+                        if (chan[off] > best) {
+                            best = chan[off];
+                            best_idx = chan_base + off;
                         }
                     }
                 }
-                orow[ox] = found ? best : 0.0f;
+                // All-padding windows output 0 (and get no
+                // gradient), matching zero-pad semantics.
+                orow[ox] = best_idx < 0 ? 0.0f : best;
+                argmax[ic * out_oh * out_ow + row_off + ox] = best_idx;
             }
         }
     }

@@ -1,6 +1,9 @@
 /**
  * @file
- * Max and average 2-D pooling kernels with asymmetric padding.
+ * Max and average 2-D pooling kernels with asymmetric padding. The
+ * window loops live in the patch kernels below; the whole-tensor
+ * entry points run them through the split engine (core/split_op.h)
+ * on the one-piece scheme.
  */
 #ifndef SCNN_KERNELS_POOL2D_H
 #define SCNN_KERNELS_POOL2D_H
@@ -14,7 +17,8 @@
 namespace scnn {
 
 /**
- * Max-pool forward.
+ * Max-pool forward: the split engine on the one-piece scheme
+ * (splitMaxPool2dForward over unsplitScheme).
  *
  * @param x input, [N, C, H, W].
  * @param win window geometry.
@@ -31,14 +35,14 @@ Tensor maxPool2dBackward(const Shape &x_shape, const Tensor &grad_out,
                          const std::vector<int64_t> &argmax);
 
 /**
- * Average-pool forward. Padding elements count toward the divisor
- * (count_include_pad semantics), so a window is always divided by
- * kh*kw. This keeps split/unsplit equivalence exact for natural
- * splits.
+ * Average-pool forward, on the one-piece split scheme. Padding
+ * elements count toward the divisor (count_include_pad semantics), so
+ * a window is always divided by kh*kw. This keeps split/unsplit
+ * equivalence exact for natural splits.
  */
 Tensor avgPool2dForward(const Tensor &x, const Window2d &win);
 
-/** Average-pool backward. */
+/** Average-pool backward, on the one-piece split scheme. */
 Tensor avgPool2dBackward(const Shape &x_shape, const Tensor &grad_out,
                          const Window2d &win);
 
@@ -50,9 +54,9 @@ Tensor avgPool2dBackward(const Shape &x_shape, const Tensor &grad_out,
  * read as the split scheme's zero padding) and write the result into
  * the patch's block of the parent output — no pad2d input copy, no
  * per-patch output tensor, no concat. The clip tests and the
- * tap-visit order are byte-for-byte the ones maxPool2dForward /
- * avgPool2dForward apply to a materialized patch, so the fused and
- * materializing split-pool paths produce identical bits.
+ * tap-visit order are those of a naive pool over the materialized
+ * patch, so split and materialized execution produce identical bits.
+ * The unsplit pools are the full-view case.
  */
 ///@{
 /**
@@ -63,14 +67,18 @@ Tensor avgPool2dBackward(const Shape &x_shape, const Tensor &grad_out,
  * @param win patch-local window (split-scheme paddings).
  * @param out parent output image base, [C, out_oh, out_ow].
  * @param oy0,ox0 where the patch's output block starts in @p out.
+ * @param argmax laid out like @p out: receives
+ *        @p argmax_base + the max's offset in @p img (so
+ *        argmax_base = image * C*ih*iw gives indices into the whole
+ *        input tensor), or -1 for all-padding windows.
  *
- * All-padding windows write 0, matching maxPool2dForward. No argmax:
- * the fused path serves forward-only (inference) execution.
+ * All-padding windows write 0 and get no gradient.
  */
 void maxPool2dPatch(const float *img, int64_t c, int64_t ih,
                     int64_t iw, const PatchView &view,
                     const Window2d &win, float *out, int64_t out_oh,
-                    int64_t out_ow, int64_t oy0, int64_t ox0);
+                    int64_t out_ow, int64_t oy0, int64_t ox0,
+                    int64_t *argmax, int64_t argmax_base);
 
 /** Average-pool one image's patch; count_include_pad semantics like
  * avgPool2dForward (every window divides by kh*kw). */

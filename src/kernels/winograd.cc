@@ -1,21 +1,13 @@
 #include "kernels/winograd.h"
 
-#include <algorithm>
-
 #include "analysis/shadow_access.h"
 #include "kernels/gemm.h"
 #include "util/logging.h"
 #include "util/scratch_arena.h"
-#include "util/threadpool.h"
 
 namespace scnn {
 
 namespace {
-
-/** Tile rows one parallel work item covers in conv2dForwardWinograd:
- * large enough that the 16 batched GEMMs see a useful N, small
- * enough that tile-row chunks of one image still fan out. */
-constexpr int64_t kTileRowChunk = 8;
 
 /**
  * Weight transform U = G g G^T for one 3x3 filter, with
@@ -227,78 +219,6 @@ conv2dWinogradPatch(const float *img, int64_t c, int64_t ih, int64_t iw,
                     }
             }
     }
-}
-
-Tensor
-conv2dForwardWinograd(const Tensor &x, const Tensor &weight,
-                      const Tensor &bias, const Window2d &win)
-{
-    SCNN_REQUIRE(winogradApplicable(win),
-                 "winograd needs a 3x3 stride-1 window, got "
-                     << win.toString());
-    SCNN_REQUIRE(x.shape().rank() == 4, "input must be NCHW");
-    const int64_t n = x.shape().dim(0);
-    const int64_t c = x.shape().dim(1);
-    const int64_t ih = x.shape().dim(2);
-    const int64_t iw = x.shape().dim(3);
-    const int64_t oc = weight.shape().dim(0);
-    SCNN_REQUIRE(weight.shape() == Shape({oc, c, 3, 3}),
-                 "weight must be [OC, C, 3, 3]");
-    const int64_t oh = win.outH(ih);
-    const int64_t ow = win.outW(iw);
-    SCNN_REQUIRE(oh > 0 && ow > 0, "empty output");
-
-    // Transform and pack all filters once; the packed U lives in the
-    // caller's arena and is shared read-only by every worker.
-    auto &arena = ScratchArena::tls();
-    auto guard = arena.scope();
-    float *pu = arena.alloc(winogradPackedUSize(oc, c));
-    winogradPackWeights(weight.data(), oc, c, pu);
-
-    // The 2x2 output tiles cover every output element, so the
-    // allocation skips its zero-fill. Work items are (image,
-    // tile-row chunk) pairs writing disjoint output rows.
-    Tensor out = Tensor::uninitialized(Shape{n, oc, oh, ow});
-    const float *bias_ptr = bias.numel() > 0 ? bias.data() : nullptr;
-    const int64_t tiles_y = (oh + 1) / 2;
-    const int64_t chunks =
-        (tiles_y + kTileRowChunk - 1) / kTileRowChunk;
-
-    globalPool().parallelFor(n * chunks, [&](int64_t b, int64_t e) {
-        for (int64_t it = b; it < e; ++it) {
-            const int64_t in = it / chunks;
-            const int64_t ch = it % chunks;
-            const int64_t ty0 = ch * kTileRowChunk;
-            const int64_t ty1 =
-                std::min(tiles_y, ty0 + kTileRowChunk);
-            conv2dWinogradPatch(x.data() + in * c * ih * iw, c, ih,
-                                iw, PatchView::full(ih, iw), win, pu,
-                                oc, bias_ptr, ty0, ty1,
-                                out.data() + in * oc * oh * ow, oh,
-                                ow, 0, 0);
-        }
-    });
-    return out;
-}
-
-int64_t
-winogradWorkspaceBytes(const Tensor &x, const Tensor &weight,
-                       const Window2d &win)
-{
-    SCNN_REQUIRE(winogradApplicable(win), "not a winograd geometry");
-    const int64_t c = x.shape().dim(1);
-    const int64_t iw = x.shape().dim(3);
-    const int64_t oc = weight.shape().dim(0);
-    const int64_t ow = win.outW(iw);
-    const int64_t oh = win.outH(x.shape().dim(2));
-    const int64_t tiles_x = (ow + 1) / 2;
-    const int64_t tiles_y = (oh + 1) / 2;
-    const int64_t chunk_tiles =
-        std::min(tiles_y, kTileRowChunk) * tiles_x;
-    // Packed U (all filters) + one work item's V and M blocks.
-    return (winogradPackedUSize(oc, c) +
-            16 * (c + oc) * chunk_tiles) *
-           int64_t(sizeof(float));
 }
 
 } // namespace scnn

@@ -4,14 +4,16 @@
  * convolution algorithm Section 2.2.1 identifies as a driver of
  * memory-bound layers: it cuts the multiplications of a 3x3/1
  * convolution by ~2.25x at the price of transform workspace. The
- * simulator's cost model charges exactly this speedup; this kernel
- * demonstrates it for real on the CPU engine.
+ * simulator's cost model charges exactly this speedup; the split
+ * engine (core/split_op.h) runs it for real on the CPU, split and
+ * unsplit alike.
  */
 #ifndef SCNN_KERNELS_WINOGRAD_H
 #define SCNN_KERNELS_WINOGRAD_H
 
+#include <cstdint>
+
 #include "kernels/window.h"
-#include "tensor/tensor.h"
 
 namespace scnn {
 
@@ -19,28 +21,8 @@ namespace scnn {
 bool winogradApplicable(const Window2d &win);
 
 /**
- * Winograd forward convolution; numerically equivalent (to float
- * rounding) to conv2dForward for 3x3 stride-1 windows with any
- * padding.
- *
- * @param x input, [N, C, H, W].
- * @param weight [OC, C, 3, 3].
- * @param bias [OC] or empty.
- * @param win geometry with kh == kw == 3, sh == sw == 1.
- */
-Tensor conv2dForwardWinograd(const Tensor &x, const Tensor &weight,
-                             const Tensor &bias, const Window2d &win);
-
-/**
- * Transform-workspace bytes the winograd kernel needs for the given
- * shapes — the "trades memory space for faster computation" cost.
- */
-int64_t winogradWorkspaceBytes(const Tensor &x, const Tensor &weight,
-                               const Window2d &win);
-
-/**
  * Winograd-vs-im2col selection heuristic, shared by
- * conv2dForwardAuto and the split executor: Winograd's 2.25x MAC
+ * the split engine's ConvKernel::Auto: Winograd's 2.25x MAC
  * saving must amortize the per-tile input/inverse transforms, which
  * scale with c + oc while the saving scales with c * oc. The
  * constants were calibrated against bench_kernels (the
@@ -64,9 +46,9 @@ bool winogradCostModelWins(int64_t c, int64_t oc);
  * call (the batched-GEMM Winograd formulation), instead of a scalar
  * per-tile multiply-accumulate loop. Under the scalar microkernel
  * the GEMM accumulates channels in the same ascending order with the
- * same per-step rounding as the old scalar loop, so outputs are
- * bit-identical to the materializing Winograd path; under AVX2 the
- * contraction joins the documented determinism carve-out.
+ * same per-step rounding as a scalar per-tile MAC loop, so outputs
+ * are bit-identical to that reference; under AVX2 the contraction
+ * joins the documented determinism carve-out.
  */
 ///@{
 /** Floats winogradPackWeights needs for one layer's packed U. */

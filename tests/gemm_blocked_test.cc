@@ -172,12 +172,6 @@ TEST(GemmBlocked, DispatchersBitwiseStable)
     }
 }
 
-TEST(GemmBlocked, KernelNameReportsSelection)
-{
-    // SCNN_GEMM is unset in the test environment.
-    EXPECT_STREQ(gemmKernelName(), "blocked");
-}
-
 /** The determinism carve-out, stated as a test: the AVX2/FMA kernel
  * need not match scalar bitwise, but it must stay within a tight
  * relative tolerance, and it must itself be deterministic

@@ -102,19 +102,24 @@ TEST(Gemm, TransposedVariantsAgree)
 
 TEST(Im2col, AdjointProperty)
 {
-    // <im2col(x), c> == <x, col2im(c)> for random x, c.
+    // <im2col(x), c> == <x, col2im(c)> for random x, c, over the
+    // whole image as a full view.
     Rng rng(3);
     const int64_t c = 2, ih = 6, iw = 5;
     const Window2d win{3, 2, 1, 1, 1, 0, 1, 1};
-    const int64_t cols = c * win.kh * win.kw * win.outH(ih) * win.outW(iw);
+    const int64_t oh = win.outH(ih), ow = win.outW(iw);
+    const int64_t cols = c * win.kh * win.kw * oh * ow;
+    const PatchView full = PatchView::full(ih, iw);
     std::vector<float> x(c * ih * iw), col(cols), cc(cols),
         xi(c * ih * iw, 0.0f);
     for (auto &v : x)
         v = rng.normal();
     for (auto &v : cc)
         v = rng.normal();
-    im2col(x.data(), c, ih, iw, win, col.data());
-    col2im(cc.data(), c, ih, iw, win, xi.data());
+    im2colViewStrided(x.data(), c, ih, iw, full, win, 0, oh, col.data(),
+                      oh * ow, ow);
+    col2imViewStrided(cc.data(), c, ih, iw, full, win, 0, oh, xi.data(),
+                      oh * ow, ow);
     double lhs = 0.0, rhs = 0.0;
     for (int64_t i = 0; i < cols; ++i)
         lhs += double(col[i]) * cc[i];
@@ -133,7 +138,7 @@ TEST(Conv2d, ForwardMatchesDirectReference)
     w.fillNormal(rng, 0.0f, 0.5f);
     b.fillNormal(rng, 0.0f, 0.5f);
     const Window2d win = Window2d::square(3, 1, 1);
-    Tensor out = conv2dForward(x, w, b, win);
+    Tensor out = conv2dForwardAuto(x, w, b, win);
     ASSERT_EQ(out.shape(), Shape({2, 4, 5, 6}));
     // Direct convolution reference.
     for (int64_t in = 0; in < 2; ++in)
@@ -161,7 +166,7 @@ TEST(Conv2d, AsymmetricPaddingShapes)
     Tensor x(Shape{1, 1, 7, 7});
     Tensor w(Shape{1, 1, 3, 3});
     const Window2d win{3, 3, 2, 2, 1, 0, 0, 2};
-    Tensor out = conv2dForward(x, w, Tensor(), win);
+    Tensor out = conv2dForwardAuto(x, w, Tensor(), win);
     EXPECT_EQ(out.shape().dim(2), win.outH(7));
     EXPECT_EQ(out.shape().dim(3), win.outW(7));
 }
@@ -177,8 +182,8 @@ TEST(Conv2d, BackwardMatchesNumericGradient)
     b.fillNormal(rng, 0.0f, 0.5f);
     const Window2d win{3, 3, 2, 2, 1, 1, 1, 1};
 
-    auto loss = [&]() { return sumAll(conv2dForward(x, w, b, win)); };
-    Tensor out = conv2dForward(x, w, b, win);
+    auto loss = [&]() { return sumAll(conv2dForwardAuto(x, w, b, win)); };
+    Tensor out = conv2dForwardAuto(x, w, b, win);
     Tensor grad_out(out.shape(), 1.0f);
     Tensor gx, gw(w.shape()), gb(b.shape());
     conv2dBackward(x, w, grad_out, win, gx, gw, gb);

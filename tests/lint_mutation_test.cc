@@ -440,7 +440,7 @@ TEST(LintMutation, SpanOutsideRegionIsSA602)
 TEST(LintMutation, WriteToSharedPanelsIsSA603)
 {
     ParallelPlan bad = cleanConvPlan();
-    // An aliased weight-panel cache entry shows up in the model as a
+    // An aliased packed-panel buffer shows up in the model as a
     // work item writing the shared read-only panel region.
     bool flipped = false;
     for (ParallelAccess &a : bad.items[0].accesses)

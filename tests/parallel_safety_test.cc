@@ -9,12 +9,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+#include <vector>
+
 #include "analysis/shadow_access.h"
 #include "core/split_op.h"
+#include "core/splitter.h"
 #include "kernels/window.h"
 #include "models/models.h"
 #include "tensor/tensor_ops.h"
+#include "train/executor.h"
 #include "util/rng.h"
+#include "util/threadpool.h"
 
 namespace scnn {
 namespace {
@@ -85,7 +92,7 @@ TEST(ParallelSafety, PoolAndExecutorPlansAreClean)
 
 // --- Shadow validator: kernels vs static model -----------------------
 
-TEST(ParallelSafety, ShadowValidatesFusedConvAgainstModel)
+TEST(ParallelSafety, ShadowValidatesConvAgainstModel)
 {
     ScopedShadow shadow;
     shadowAccessResetStats();
@@ -109,7 +116,7 @@ TEST(ParallelSafety, ShadowValidatesFusedConvAgainstModel)
     EXPECT_EQ(stats.violations, 0);
 }
 
-TEST(ParallelSafety, ShadowValidatesFusedPoolAgainstModel)
+TEST(ParallelSafety, ShadowValidatesPoolAgainstModel)
 {
     ScopedShadow shadow;
     shadowAccessResetStats();
@@ -118,7 +125,8 @@ TEST(ParallelSafety, ShadowValidatesFusedPoolAgainstModel)
     x.fillNormal(rng, 0.0f, 1.0f);
     const Window2d win = Window2d::square(2, 2, 0);
     const auto scheme = makeScheme(win, 16, 16, 2, 2);
-    splitMaxPool2dForward(x, win, scheme);
+    std::vector<int64_t> argmax;
+    splitMaxPool2dForward(x, win, scheme, argmax);
     splitAvgPool2dForward(x, win, scheme);
 
     const ShadowAccessStats stats = shadowAccessStats();
@@ -149,7 +157,7 @@ TEST(ParallelSafety, ShadowEscapeIsSA607)
     std::vector<float> buf(8, 0.0f);
     ShadowSession session(std::move(plan));
     session.bind("out", buf.data());
-    shadowSetItem(0);
+    session.setItem(0);
     shadowRecord(buf.data(), 4, true);     // inside the prediction
     shadowRecord(buf.data() + 2, 4, true); // escapes into [4, 6)
     const auto diags = session.check();
@@ -188,7 +196,7 @@ TEST(ParallelSafety, ShadowDirectionMattersForContainment)
     std::vector<float> buf(8, 0.0f);
     ShadowSession session(std::move(plan));
     session.bind("buf", buf.data());
-    shadowSetItem(0);
+    session.setItem(0);
     shadowRecord(buf.data(), 2, false); // read inside write set: ok
     shadowRecord(buf.data() + 4, 2, true); // write in read set: SA607
     const auto diags = session.check();
@@ -204,6 +212,86 @@ TEST(ParallelSafety, LintParallelGateFollowsEnv)
     setenv("SCNN_LINT_PARALLEL", "0", 1);
     EXPECT_FALSE(lintParallelEnabled());
     unsetenv("SCNN_LINT_PARALLEL");
+}
+
+/**
+ * Executor waves run a split layer's patch clones on different pool
+ * workers, so several engine calls hold shadow sessions, lint their
+ * plans and share the Winograd weight cache at the same time. One
+ * training step at 4 threads with the recorder and the parallel lint
+ * on must record no escape, share one U transform across the four
+ * clones of the Winograd layer, and match the 1-thread step bitwise.
+ */
+TEST(ParallelSafety, SplitGraphExecutorAtFourThreads)
+{
+    GraphBuilder b;
+    TensorId x = b.input(Shape{2, 48, 8, 8});
+    // 48 -> 48 channels passes winogradCostModelWins; conv2d does not.
+    x = b.conv2d(x, 48, Window2d::square(3, 1, 1), true, "conv1");
+    x = b.batchNorm(x, "bn1");
+    x = b.relu(x, "relu1");
+    x = b.conv2d(x, 8, Window2d::square(3, 1, 1), false, "conv2");
+    x = b.maxPool(x, Window2d::square(2, 2, 0), "pool1");
+    b.markCutPoint(x);
+    x = b.flatten(x);
+    x = b.linear(x, 5, true, "fc");
+    const Graph split = splitCnnTransform(
+        b.build(), {.depth = 1.0, .splits_h = 2, .splits_w = 2}, nullptr);
+
+    Tensor input(Shape{2, 48, 8, 8});
+    Rng drng(3);
+    input.fillNormal(drng, 0.0f, 1.0f);
+
+    struct Step
+    {
+        Tensor logits;
+        std::vector<Tensor> grads;
+    };
+    auto step = [&](int threads) {
+        const int prev = globalThreads();
+        setGlobalThreads(threads);
+        Rng rng(5);
+        ParamStore params(split, rng);
+        params.zeroGrad();
+        Executor ex(split, params);
+        ForwardCache cache;
+        Step st;
+        st.logits = ex.forward(input, /*training=*/true, &cache);
+        ex.backward(cache, Tensor(st.logits.shape(), 1.0f));
+        for (ParamId id = 0; id < static_cast<ParamId>(params.size());
+             ++id)
+            st.grads.push_back(params.grad(id));
+        setGlobalThreads(prev);
+        return st;
+    };
+    const Step ref = step(1);
+
+    const char *prev_lint = std::getenv("SCNN_LINT_PARALLEL");
+    const std::string saved_lint = prev_lint ? prev_lint : "";
+    setenv("SCNN_LINT_PARALLEL", "1", 1);
+    ScopedShadow shadow;
+    shadowAccessResetStats();
+    splitWeightCacheClear();
+    const Step got = step(4);
+    if (prev_lint)
+        setenv("SCNN_LINT_PARALLEL", saved_lint.c_str(), 1);
+    else
+        unsetenv("SCNN_LINT_PARALLEL");
+
+    const ShadowAccessStats stats = shadowAccessStats();
+    EXPECT_GT(stats.sessions_checked, 0);
+    EXPECT_GT(stats.records_checked, 0);
+    EXPECT_EQ(stats.violations, 0);
+    const SplitWeightCacheStats cache = splitWeightCacheStats();
+    EXPECT_EQ(cache.misses, 1) << "the four clones share one U";
+    EXPECT_EQ(cache.hits, 3);
+    splitWeightCacheClear();
+
+    EXPECT_TRUE(allClose(got.logits, ref.logits, 0.0f));
+    ASSERT_EQ(got.grads.size(), ref.grads.size());
+    for (size_t i = 0; i < ref.grads.size(); ++i)
+        EXPECT_TRUE(allClose(got.grads[i], ref.grads[i], 0.0f))
+            << "param grad " << i;
 }
 
 } // namespace

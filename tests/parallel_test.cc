@@ -173,7 +173,7 @@ runConv(int threads, Tensor &out, Tensor &gx, Tensor &gw, Tensor &gb)
     b.fillNormal(rng, 0.0f, 0.5f);
     const Window2d win = Window2d::square(3, 1, 1);
 
-    out = conv2dForward(x, w, b, win);
+    out = conv2dForwardAuto(x, w, b, win);
     Tensor go(out.shape());
     Rng grng(8);
     go.fillNormal(grng, 0.0f, 1.0f);
@@ -229,19 +229,22 @@ TEST(ParallelDeterminism, PoolAndWinogradBitwiseAcrossThreads)
     w.fillNormal(rng, 0.0f, 0.5f);
     const Window2d pwin = Window2d::square(2, 2, 0);
     const Window2d cwin = Window2d::square(3, 1, 1);
+    const SplitScheme2d unsplit = unsplitScheme(cwin, 12, 14);
 
     Tensor pool1, wino1;
     std::vector<int64_t> am1;
     {
         ThreadGuard g(1);
         pool1 = maxPool2dForward(x, pwin, am1);
-        wino1 = conv2dForwardWinograd(x, w, Tensor(), cwin);
+        wino1 = splitConv2dForward(x, w, Tensor(), cwin, unsplit,
+                                   ConvKernel::Winograd);
     }
     for (int threads : {2, 4}) {
         ThreadGuard g(threads);
         std::vector<int64_t> am;
         Tensor pool = maxPool2dForward(x, pwin, am);
-        Tensor wino = conv2dForwardWinograd(x, w, Tensor(), cwin);
+        Tensor wino = splitConv2dForward(x, w, Tensor(), cwin, unsplit,
+                                         ConvKernel::Winograd);
         EXPECT_TRUE(bitwiseEqual(pool, pool1));
         EXPECT_EQ(am, am1);
         EXPECT_TRUE(bitwiseEqual(wino, wino1));
@@ -263,12 +266,11 @@ class ScopedSimd
     bool prev_;
 };
 
-/** The fused zero-copy split conv must produce the same bytes at any
- * pool size — its image x patch x row-tile work list is a function of
- * shapes alone, and every item writes a disjoint output region. Both
- * kernel variants (im2col+GEMM and Winograd) and both microkernels
- * are swept across 1/2/4/8 threads. */
-TEST(ParallelDeterminism, FusedSplitConvBitwiseAcrossThreads)
+/** The split conv must produce the same bytes at any pool size — its
+ * image x band work list is a function of shapes alone, and every
+ * item writes a disjoint output region. Both kernels (im2col+GEMM and
+ * Winograd) and both microkernels are swept across 1/2/4/8 threads. */
+TEST(ParallelDeterminism, SplitConvKernelsBitwiseAcrossThreads)
 {
     Rng rng(17);
     Tensor x(Shape{2, 3, 34, 30});
@@ -287,16 +289,17 @@ TEST(ParallelDeterminism, FusedSplitConvBitwiseAcrossThreads)
             continue;
         ScopedSimd pin(simd);
         for (const bool wino : {false, true}) {
+            const ConvKernel kernel =
+                wino ? ConvKernel::Winograd : ConvKernel::Im2col;
             Tensor ref;
             {
                 ThreadGuard g(1);
-                ref = splitConv2dForwardFused(x, w, b, win, scheme,
-                                              wino);
+                ref = splitConv2dForward(x, w, b, win, scheme, kernel);
             }
             for (int threads : {2, 4, 8}) {
                 ThreadGuard g(threads);
-                Tensor got = splitConv2dForwardFused(x, w, b, win,
-                                                     scheme, wino);
+                Tensor got =
+                    splitConv2dForward(x, w, b, win, scheme, kernel);
                 EXPECT_TRUE(bitwiseEqual(got, ref))
                     << threads << " threads, simd=" << simd
                     << ", winograd=" << wino;
@@ -308,7 +311,7 @@ TEST(ParallelDeterminism, FusedSplitConvBitwiseAcrossThreads)
 /** The determinism carve-out on a real workload (vgg19 conv3-class
  * shape): the SIMD split conv need not match scalar bitwise but must
  * stay within 1e-5 relative tolerance. */
-TEST(ParallelDeterminism, FusedSplitConvSimdMatchesScalarClosely)
+TEST(ParallelDeterminism, SplitConvSimdMatchesScalarClosely)
 {
     if (!simdAvailable())
         GTEST_SKIP() << "no SIMD kernel on this build/CPU";
@@ -329,13 +332,13 @@ TEST(ParallelDeterminism, FusedSplitConvSimdMatchesScalarClosely)
     Tensor scalar_out, simd_out;
     {
         ScopedSimd pin(false);
-        scalar_out = splitConv2dForwardFused(x, w, b, win, scheme,
-                                             /*use_winograd=*/false);
+        scalar_out = splitConv2dForward(x, w, b, win, scheme,
+                                        ConvKernel::Im2col);
     }
     {
         ScopedSimd pin(true);
-        simd_out = splitConv2dForwardFused(x, w, b, win, scheme,
-                                           /*use_winograd=*/false);
+        simd_out = splitConv2dForward(x, w, b, win, scheme,
+                                      ConvKernel::Im2col);
     }
     ASSERT_EQ(scalar_out.shape(), simd_out.shape());
     // Relative to the accumulation magnitude: k = 256*9 products of
@@ -379,14 +382,14 @@ TEST(ParallelDeterminism, SplitConvBackwardBitwiseAcrossThreads)
         Tensor gw1(w.shape());
         {
             ThreadGuard g(1);
-            splitConv2dBackwardFused(x, w, go, win, scheme, gx1, gw1,
+            splitConv2dBackward(x, w, go, win, scheme, gx1, gw1,
                                      gb1);
         }
         for (int threads : {2, 4, 8}) {
             ThreadGuard g(threads);
             Tensor gx, gb(Shape{6});
             Tensor gw(w.shape());
-            splitConv2dBackwardFused(x, w, go, win, scheme, gx, gw,
+            splitConv2dBackward(x, w, go, win, scheme, gx, gw,
                                      gb);
             EXPECT_TRUE(bitwiseEqual(gx, gx1))
                 << threads << " threads, simd=" << simd;
@@ -402,7 +405,7 @@ TEST(ParallelDeterminism, SplitPoolBackwardBitwiseAcrossThreads)
 {
     // Image-parallel scatter with patches serial ascending inside
     // each image: halo accumulation order is pinned per image, so
-    // both fused pool backwards are bitwise across thread counts.
+    // both split pool backwards are bitwise across thread counts.
     Rng rng(29);
     Tensor x(Shape{5, 4, 17, 15});
     x.fillNormal(rng, 0.0f, 1.0f);
@@ -418,17 +421,17 @@ TEST(ParallelDeterminism, SplitPoolBackwardBitwiseAcrossThreads)
     Tensor max1, avg1;
     {
         ThreadGuard g(1);
-        max1 = splitMaxPool2dBackwardFused(x.shape(), go, argmax,
+        max1 = splitMaxPool2dBackward(x.shape(), go, argmax,
                                            scheme);
-        avg1 = splitAvgPool2dBackwardFused(x.shape(), go, win,
+        avg1 = splitAvgPool2dBackward(x.shape(), go, win,
                                            scheme);
     }
     for (int threads : {2, 4, 8}) {
         ThreadGuard g(threads);
-        const Tensor maxg = splitMaxPool2dBackwardFused(
+        const Tensor maxg = splitMaxPool2dBackward(
             x.shape(), go, argmax, scheme);
         const Tensor avgg =
-            splitAvgPool2dBackwardFused(x.shape(), go, win, scheme);
+            splitAvgPool2dBackward(x.shape(), go, win, scheme);
         EXPECT_TRUE(bitwiseEqual(maxg, max1)) << threads << " threads";
         EXPECT_TRUE(bitwiseEqual(avgg, avg1)) << threads << " threads";
     }

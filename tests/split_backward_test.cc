@@ -1,13 +1,11 @@
 /**
  * @file
- * Band-fused split backward pass: fused-vs-materialized bitwise
- * parity over the halo geometry grid, correctness against a composed
- * per-patch reference and against the unsplit backward where the
- * split semantics coincide, the adjoint identity against the fused
- * forward, weight-panel cache behaviour under the dgrad key
- * (separate keying, zero repacks on the second step, eviction
- * accounting), SA609 static proofs for the backward plans, and
- * shadow-access validation of the fused kernels against the model.
+ * Split backward pass: correctness against a composed per-patch
+ * reference and against the unsplit backward where the split
+ * semantics coincide, the adjoint identity against the forward,
+ * SA609 static proofs for the backward plans, and shadow-access
+ * validation of the kernels against the model. Bitwise parity with
+ * the materialized oracle is swept in engine_sweep_test.cc.
  *
  * Every test lives in the SplitBackward suite so the TSan and
  * shadow-validation CI jobs can select the whole file with a
@@ -24,10 +22,10 @@
 #include "analysis/parallel_model.h"
 #include "analysis/shadow_access.h"
 #include "kernels/conv2d.h"
-#include "kernels/microkernel.h"
 #include "kernels/pool2d.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
+#include "window_oracle.h"
 
 namespace scnn {
 namespace {
@@ -41,20 +39,6 @@ makeScheme(const Window2d &win, int64_t ih, int64_t iw, int nh, int nw)
                            InputSplitPolicy::Center);
 }
 
-/** Pin the microkernel selection for a test body. */
-class ScopedSimd
-{
-  public:
-    explicit ScopedSimd(bool enabled) : prev_(simdEnabled())
-    {
-        setSimdEnabled(enabled);
-    }
-    ~ScopedSimd() { setSimdEnabled(prev_); }
-
-  private:
-    bool prev_;
-};
-
 /** Force shadow recording on for a test body. */
 class ScopedShadow
 {
@@ -62,16 +46,6 @@ class ScopedShadow
     ScopedShadow() { setShadowAccessForTesting(1); }
     ~ScopedShadow() { setShadowAccessForTesting(-1); }
 };
-
-bool
-bitwiseEqual(const Tensor &a, const Tensor &b)
-{
-    if (!(a.shape() == b.shape()))
-        return false;
-    return std::memcmp(a.data(), b.data(),
-                       static_cast<size_t>(a.numel()) *
-                           sizeof(float)) == 0;
-}
 
 /** The same halo geometries the forward equivalence tests sweep. */
 struct HaloCase
@@ -90,27 +64,6 @@ const HaloCase kHaloCases[] = {
     {"no_pad", 14, 12, 3, 1, 0, 2, 2},     // halo only, no zeros
     {"tiny_patches", 7, 7, 3, 1, 1, 3, 3}, // patches of 2-3 rows
 };
-
-/** Copy the input rectangle of patch (hi, wi) into its own tensor. */
-Tensor
-materializePatch(const Tensor &x, const SplitScheme2d &scheme, int hi,
-                 int wi)
-{
-    const auto &ph = scheme.h.pieces[static_cast<size_t>(hi)];
-    const auto &pw = scheme.w.pieces[static_cast<size_t>(wi)];
-    const int64_t n = x.shape().dim(0), c = x.shape().dim(1);
-    const int64_t ih = x.shape().dim(2), iw = x.shape().dim(3);
-    Tensor patch(Shape{n, c, ph.inLen(), pw.inLen()});
-    for (int64_t nc = 0; nc < n * c; ++nc)
-        for (int64_t y = 0; y < ph.inLen(); ++y)
-            std::memcpy(patch.data() +
-                            (nc * ph.inLen() + y) * pw.inLen(),
-                        x.data() + (nc * ih + ph.in_start + y) * iw +
-                            pw.in_start,
-                        static_cast<size_t>(pw.inLen()) *
-                            sizeof(float));
-    return patch;
-}
 
 /** Slice the grad_out block of patch (hi, wi) out of the parent. */
 Tensor
@@ -151,7 +104,7 @@ composedConvBackward(const Tensor &x, const Tensor &w,
     gb = bias ? Tensor(Shape{w.shape().dim(0)}) : Tensor();
     for (int hi = 0; hi < scheme.h.parts(); ++hi) {
         for (int wi = 0; wi < scheme.w.parts(); ++wi) {
-            const Tensor patch = materializePatch(x, scheme, hi, wi);
+            const Tensor patch = oracle::slicePatch(x, scheme, hi, wi);
             const Tensor block =
                 sliceGradOutBlock(go, scheme, hi, wi);
             const Window2d local = patchWindow(win, scheme, hi, wi);
@@ -160,56 +113,6 @@ composedConvBackward(const Tensor &x, const Tensor &w,
             addWindow2d(
                 gxp, scheme.h.pieces[static_cast<size_t>(hi)].in_start,
                 scheme.w.pieces[static_cast<size_t>(wi)].in_start, gx);
-        }
-    }
-}
-
-TEST(SplitBackward, ConvFusedMatchesMaterializedBitwise)
-{
-    // The materialized path replays the fused path's accumulation
-    // order on bounce-buffered reads, so parity is bitwise under
-    // either microkernel — a mismatch isolates the zero-copy view
-    // machinery (strided im2col staging, strided grad_out packing,
-    // cached W^T panels).
-    uint32_t seed = 60;
-    for (const bool simd : {false, true}) {
-        if (simd && !simdAvailable())
-            continue;
-        ScopedSimd pin(simd);
-        for (const auto &hc : kHaloCases) {
-            for (const bool bias : {false, true}) {
-                Rng rng(++seed);
-                Tensor x(Shape{2, 3, hc.ih, hc.iw});
-                x.fillNormal(rng, 0.0f, 1.0f);
-                Tensor w(Shape{4, 3, hc.k, hc.k});
-                w.fillNormal(rng, 0.0f, 0.4f);
-                const Window2d win =
-                    Window2d::square(hc.k, hc.s, hc.p);
-                const auto scheme =
-                    makeScheme(win, hc.ih, hc.iw, hc.nh, hc.nw);
-                Tensor go(Shape{2, 4, win.outH(hc.ih),
-                                win.outW(hc.iw)});
-                go.fillNormal(rng, 0.0f, 1.0f);
-
-                Tensor gx_f, gb_f, gx_m, gb_m;
-                Tensor gw_f(w.shape()), gw_m(w.shape());
-                if (bias) {
-                    gb_f = Tensor(Shape{4});
-                    gb_m = Tensor(Shape{4});
-                }
-                splitConv2dBackwardFused(x, w, go, win, scheme, gx_f,
-                                         gw_f, gb_f);
-                splitConv2dBackwardMaterialized(x, w, go, win, scheme,
-                                                gx_m, gw_m, gb_m);
-                EXPECT_TRUE(bitwiseEqual(gx_f, gx_m))
-                    << hc.name << " grad_x, simd=" << simd;
-                EXPECT_TRUE(bitwiseEqual(gw_f, gw_m))
-                    << hc.name << " grad_w, simd=" << simd;
-                if (bias) {
-                    EXPECT_TRUE(bitwiseEqual(gb_f, gb_m))
-                        << hc.name << " grad_b, simd=" << simd;
-                }
-            }
         }
     }
 }
@@ -265,7 +168,7 @@ TEST(SplitBackward, NaturalSplitConvMatchesUnsplitBackward)
     EXPECT_LT(maxAbsDiff(gb_s, gb_u), 1e-4f);
 }
 
-TEST(SplitBackward, ConvIsAdjointOfFusedForward)
+TEST(SplitBackward, ConvIsAdjointOfForward)
 {
     // The split conv is linear in x (w fixed) and in w (x fixed), so
     // the backward must satisfy <go, F(x, w)> = <grad_x, x> and
@@ -303,7 +206,7 @@ TEST(SplitBackward, ConvIsAdjointOfFusedForward)
     }
 }
 
-TEST(SplitBackward, MaxPoolFusedMatchesMaterializedAndUnsplit)
+TEST(SplitBackward, MaxPoolMatchesUnsplit)
 {
     uint32_t seed = 120;
     for (const auto &hc : kHaloCases) {
@@ -318,38 +221,15 @@ TEST(SplitBackward, MaxPoolFusedMatchesMaterializedAndUnsplit)
         Tensor go(out.shape());
         go.fillNormal(rng, 0.0f, 1.0f);
 
-        const Tensor fused = splitMaxPool2dBackwardFused(
-            x.shape(), go, argmax, scheme);
-        const Tensor mat = splitMaxPool2dBackwardMaterialized(
-            x.shape(), go, argmax, scheme);
-        EXPECT_TRUE(bitwiseEqual(fused, mat)) << hc.name;
-
         // Patches tile the output exactly and every output element
         // scatters to its unique argmax, so the split backward
         // matches the unsplit one up to summation order at shared
         // argmax targets.
+        const Tensor split =
+            splitMaxPool2dBackward(x.shape(), go, argmax, scheme);
         const Tensor unsplit =
             maxPool2dBackward(x.shape(), go, argmax);
-        EXPECT_LT(maxAbsDiff(fused, unsplit), 1e-5f) << hc.name;
-    }
-}
-
-TEST(SplitBackward, AvgPoolFusedMatchesMaterializedBitwise)
-{
-    uint32_t seed = 140;
-    for (const auto &hc : kHaloCases) {
-        Rng rng(++seed);
-        const Window2d win = Window2d::square(hc.k, hc.s, hc.p);
-        const auto scheme =
-            makeScheme(win, hc.ih, hc.iw, hc.nh, hc.nw);
-        Tensor go(Shape{2, 3, win.outH(hc.ih), win.outW(hc.iw)});
-        go.fillNormal(rng, 0.0f, 1.0f);
-
-        const Tensor fused = splitAvgPool2dBackwardFused(
-            Shape{2, 3, hc.ih, hc.iw}, go, win, scheme);
-        const Tensor mat = splitAvgPool2dBackwardMaterialized(
-            Shape{2, 3, hc.ih, hc.iw}, go, win, scheme);
-        EXPECT_TRUE(bitwiseEqual(fused, mat)) << hc.name;
+        EXPECT_LT(maxAbsDiff(split, unsplit), 1e-5f) << hc.name;
     }
 }
 
@@ -369,115 +249,6 @@ TEST(SplitBackward, NaturalSplitAvgPoolMatchesUnsplitBackward)
     const Tensor unsplit =
         avgPool2dBackward(Shape{1, 2, 14, 14}, go, win);
     EXPECT_LT(maxAbsDiff(split, unsplit), 1e-6f);
-}
-
-// --- weight-panel cache under the dgrad key --------------------------
-
-TEST(SplitBackward, DgradPanelsAreKeyedSeparatelyFromForward)
-{
-    splitWeightCacheClear();
-    Rng rng(41);
-    Tensor x(Shape{1, 3, 12, 12});
-    x.fillNormal(rng, 0.0f, 1.0f);
-    Tensor w(Shape{4, 3, 3, 3});
-    w.fillNormal(rng, 0.0f, 0.4f);
-    const Window2d win = Window2d::square(3, 1, 1);
-    const auto scheme = makeScheme(win, 12, 12, 2, 2);
-    Tensor go(Shape{1, 4, 12, 12});
-    go.fillNormal(rng, 0.0f, 1.0f);
-
-    Tensor gx, gb;
-    Tensor gw(w.shape());
-    splitConv2dBackwardFused(x, w, go, win, scheme, gx, gw, gb);
-    const auto after_bwd = splitWeightCacheStats();
-    EXPECT_EQ(after_bwd.misses, 1);
-    EXPECT_EQ(after_bwd.entries, 1);
-
-    // The forward packs its own panel for the *same* weight tensor:
-    // the dgrad (W^T) entry must not be returned for it.
-    splitConv2dForward(x, w, Tensor(), win, scheme);
-    const auto after_fwd = splitWeightCacheStats();
-    EXPECT_EQ(after_fwd.misses, 2);
-    EXPECT_EQ(after_fwd.entries, 2);
-    splitWeightCacheClear();
-}
-
-TEST(SplitBackward, SecondTrainingStepPacksNoNewPanels)
-{
-    // The bench gate in `scnn bench` asserts the same invariant on a
-    // multi-layer loop; this is the unit-level version. Step 1 packs
-    // one forward and one dgrad panel per layer; step 2 must be all
-    // hits (weights unchanged between the two steps here — the
-    // content hash would force a repack after an optimizer update).
-    splitWeightCacheClear();
-    Rng rng(43);
-    Tensor x(Shape{1, 3, 16, 16});
-    x.fillNormal(rng, 0.0f, 1.0f);
-    std::vector<Tensor> weights;
-    for (int l = 0; l < 2; ++l) {
-        weights.emplace_back(Shape{3, 3, 3, 3});
-        weights.back().fillNormal(rng, 0.0f, 0.4f);
-    }
-    const Window2d win = Window2d::square(3, 1, 1);
-    const auto scheme = makeScheme(win, 16, 16, 2, 2);
-
-    auto step = [&] {
-        Tensor cur = x;
-        std::vector<Tensor> acts;
-        for (const auto &w : weights) {
-            acts.push_back(cur);
-            cur = splitConv2dForward(cur, w, Tensor(), win, scheme);
-        }
-        Tensor go(cur.shape());
-        Rng grng(44);
-        go.fillNormal(grng, 0.0f, 1.0f);
-        for (size_t l = weights.size(); l-- > 0;) {
-            Tensor gx, gb;
-            Tensor gw(weights[l].shape());
-            splitConv2dBackwardFused(acts[l], weights[l], go, win,
-                                     scheme, gx, gw, gb);
-            go = std::move(gx);
-        }
-    };
-
-    step();
-    const auto after1 = splitWeightCacheStats();
-    EXPECT_EQ(after1.misses, 4); // 2 layers x (forward + dgrad)
-    step();
-    const auto after2 = splitWeightCacheStats();
-    EXPECT_EQ(after2.misses, after1.misses)
-        << "second step repacked panels";
-    EXPECT_GT(after2.hits, after1.hits);
-    splitWeightCacheClear();
-}
-
-TEST(SplitBackward, CacheEvictionsAreCounted)
-{
-    splitWeightCacheClear();
-    Rng rng(47);
-    Tensor x(Shape{1, 2, 10, 10});
-    x.fillNormal(rng, 0.0f, 1.0f);
-    const Window2d win = Window2d::square(3, 1, 1);
-    const auto scheme = makeScheme(win, 10, 10, 2, 2);
-    Tensor go(Shape{1, 3, 10, 10});
-    go.fillNormal(rng, 0.0f, 1.0f);
-
-    // More live weight tensors than the LRU capacity (8): the dgrad
-    // panels must recycle slots and say so in the stats.
-    std::vector<Tensor> weights;
-    for (int i = 0; i < 10; ++i) {
-        weights.emplace_back(Shape{3, 2, 3, 3});
-        weights.back().fillNormal(rng, 0.0f, 0.4f);
-    }
-    for (const auto &w : weights) {
-        Tensor gx, gb;
-        Tensor gw(w.shape());
-        splitConv2dBackwardFused(x, w, go, win, scheme, gx, gw, gb);
-    }
-    const auto stats = splitWeightCacheStats();
-    EXPECT_GE(stats.evictions, 2);
-    EXPECT_LE(stats.entries, 8);
-    splitWeightCacheClear();
 }
 
 // --- SA609 static proofs and shadow validation ------------------------
@@ -557,7 +328,7 @@ TEST(SplitBackward, ReversedSerialOrderSurfacesAsSA609)
     EXPECT_TRUE(found) << renderDiagnosticsText(diags);
 }
 
-TEST(SplitBackward, ShadowValidatesFusedBackwardAgainstModel)
+TEST(SplitBackward, ShadowValidatesBackwardAgainstModel)
 {
     ScopedShadow shadow;
     shadowAccessResetStats();
@@ -576,14 +347,14 @@ TEST(SplitBackward, ShadowValidatesFusedBackwardAgainstModel)
         go.fillNormal(rng, 0.0f, 1.0f);
         Tensor gx, gb(Shape{4});
         Tensor gw(w.shape());
-        splitConv2dBackwardFused(x, w, go, win, scheme, gx, gw, gb);
+        splitConv2dBackward(x, w, go, win, scheme, gx, gw, gb);
 
         std::vector<int64_t> argmax;
         Tensor pout = maxPool2dForward(x, win, argmax);
         Tensor pgo(pout.shape());
         pgo.fillNormal(rng, 0.0f, 1.0f);
-        splitMaxPool2dBackwardFused(x.shape(), pgo, argmax, scheme);
-        splitAvgPool2dBackwardFused(x.shape(), pgo, win, scheme);
+        splitMaxPool2dBackward(x.shape(), pgo, argmax, scheme);
+        splitAvgPool2dBackward(x.shape(), pgo, win, scheme);
     }
 
     const ShadowAccessStats stats = shadowAccessStats();

@@ -1,9 +1,11 @@
 /**
  * @file
- * Property tests for eager split-op execution (Eqs. 4-7): shape
+ * Property tests for split-op execution (Eqs. 4-7): shape
  * preservation, exact equivalence for natural splits (k == s),
- * interior equivalence for overlapping windows (k > s), and the 2-D
- * four-patch construction of Figure 2.
+ * interior equivalence for overlapping windows (k > s), the 2-D
+ * four-patch construction of Figure 2, the one-piece unsplit scheme,
+ * and the Winograd weight cache. The differential sweep against the
+ * materialized oracle lives in engine_sweep_test.cc.
  */
 #include "core/split_op.h"
 
@@ -15,9 +17,9 @@
 #include "kernels/gemm.h"
 #include "kernels/microkernel.h"
 #include "kernels/pool2d.h"
-#include "kernels/winograd.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
+#include "window_oracle.h"
 
 namespace scnn {
 namespace {
@@ -56,7 +58,7 @@ TEST(SplitOp, OutputShapeMatchesUnsplit)
     const Window2d win = Window2d::square(3, 1, 1);
     const auto scheme = makeScheme(win, 17, 19, 3, 4);
     Tensor split = splitConv2dForward(x, w, Tensor(), win, scheme);
-    Tensor ref = conv2dForward(x, w, Tensor(), win);
+    Tensor ref = conv2dForwardAuto(x, w, Tensor(), win);
     EXPECT_EQ(split.shape(), ref.shape());
 }
 
@@ -68,10 +70,11 @@ TEST(SplitOp, NaturalSplitPoolIsExactlyEquivalent)
     x.fillNormal(rng, 0.0f, 1.0f);
     const Window2d win = Window2d::square(2, 2, 0);
     const auto scheme = makeScheme(win, 16, 16, 2, 2);
-    Tensor split = splitMaxPool2dForward(x, win, scheme);
-    std::vector<int64_t> argmax;
+    std::vector<int64_t> split_argmax, argmax;
+    Tensor split = splitMaxPool2dForward(x, win, scheme, split_argmax);
     Tensor ref = maxPool2dForward(x, win, argmax);
     EXPECT_TRUE(allClose(split, ref, 0.0f));
+    EXPECT_EQ(split_argmax, argmax);
 }
 
 TEST(SplitOp, NaturalSplitConvIsExactlyEquivalent)
@@ -86,7 +89,7 @@ TEST(SplitOp, NaturalSplitConvIsExactlyEquivalent)
     const Window2d win = Window2d::square(2, 2, 0);
     const auto scheme = makeScheme(win, 12, 12, 3, 2);
     Tensor split = splitConv2dForward(x, w, b, win, scheme);
-    Tensor ref = conv2dForward(x, w, b, win);
+    Tensor ref = conv2dForwardAuto(x, w, b, win);
     EXPECT_LT(maxAbsDiff(split, ref), 1e-5f);
 }
 
@@ -132,7 +135,7 @@ TEST_P(InteriorEquivalence, InteriorOutputsMatchUnsplit)
     const auto scheme = makeScheme(win, ih, iw, n, n, policy);
 
     Tensor split = splitConv2dForward(x, w, Tensor(), win, scheme);
-    Tensor ref = conv2dForward(x, w, Tensor(), win);
+    Tensor ref = conv2dForwardAuto(x, w, Tensor(), win);
     ASSERT_EQ(split.shape(), ref.shape());
 
     // An output (oy, ox) is interior iff its window footprint
@@ -218,216 +221,14 @@ TEST(SplitOp, SlicePatchMatchesManualCrop)
         x.at(i) = static_cast<float>(i);
     const Window2d win = Window2d::square(2, 2, 0);
     const auto scheme = makeScheme(win, 8, 8, 2, 2);
-    Tensor patch = slicePatch(x, scheme, 1, 0);
+    Tensor patch = oracle::slicePatch(x, scheme, 1, 0);
     EXPECT_EQ(patch.shape(), Shape({1, 1, 4, 4}));
     EXPECT_EQ(patch.at4(0, 0, 0, 0), x.at4(0, 0, 4, 0));
 }
 
-/**
- * Halo-geometry sweep for the fused zero-copy path: every case pits
- * the view-based execution against references on the same scheme.
- *
- * - under the scalar microkernel, fused im2col+GEMM is
- *   bitwise-identical to materializing each patch and running the
- *   im2col conv2dForward on it (same per-element accumulation order;
- *   the view reads the exact bytes the pad2d copy would have staged,
- *   and scheme paddings zero-fill the same positions); under SIMD the
- *   gemm() size heuristic may route the two sides to different
- *   kernels, so equality is only epsilon-close — the documented
- *   carve-out;
- * - fused Winograd is bitwise-identical (scalar microkernel) to
- *   materializing each patch and running conv2dForwardWinograd on it:
- *   the batched per-transform-point GEMMs accumulate channels in the
- *   same ascending order as the materializing kernel's, on the same
- *   transformed values;
- * - fused-vs-materialized always agrees within float tolerance even
- *   when the two sides round differently.
- */
-struct HaloCase
-{
-    const char *name;
-    int64_t ih, iw; ///< input extents
-    int64_t k, s, p; ///< square kernel/stride/pad
-    int nh, nw;      ///< split parts per axis
-};
-
-const HaloCase kHaloCases[] = {
-    {"borders_1px", 9, 9, 3, 1, 1, 3, 3},   // 1px output borders
-    {"uneven", 17, 19, 3, 1, 1, 3, 4},      // uneven patch extents
-    {"stride2", 18, 22, 3, 2, 1, 2, 3},     // strided windows
-    {"big_halo", 16, 16, 5, 1, 2, 2, 2},    // 2-row halos
-    {"no_pad", 14, 12, 3, 1, 0, 2, 2},      // halo only, no zeros
-    {"tiny_patches", 7, 7, 3, 1, 1, 3, 3},  // patches of 2-3 rows
-};
-
-TEST(SplitOp, FusedIm2colMatchesMaterializedIm2col)
-{
-    uint32_t seed = 40;
-    for (const auto &hc : kHaloCases) {
-        Rng rng(++seed);
-        Tensor x(Shape{2, 3, hc.ih, hc.iw});
-        x.fillNormal(rng, 0.0f, 1.0f);
-        Tensor w(Shape{4, 3, hc.k, hc.k});
-        w.fillNormal(rng, 0.0f, 0.4f);
-        Tensor b(Shape{4});
-        b.fillNormal(rng, 0.0f, 0.4f);
-        const Window2d win =
-            Window2d::square(hc.k, hc.s, hc.p);
-        const auto scheme =
-            makeScheme(win, hc.ih, hc.iw, hc.nh, hc.nw);
-        // Old materializing path, pinned to the im2col kernel so the
-        // comparison is like-for-like (Auto would pick Winograd for
-        // 3x3/s1 and round differently).
-        auto materialized = [&] {
-            return runSplitOp(
-                x, win, scheme,
-                [&](const Tensor &patch, const Window2d &local) {
-                    return conv2dForward(patch, w, b, local);
-                });
-        };
-        {
-            // Bitwise under the scalar reference kernel.
-            ScopedSimd pin(false);
-            Tensor fused = splitConv2dForwardFused(
-                x, w, b, win, scheme, /*use_winograd=*/false);
-            Tensor sref = materialized();
-            ASSERT_EQ(fused.shape(), sref.shape()) << hc.name;
-            EXPECT_TRUE(allClose(fused, sref, 0.0f)) << hc.name;
-        }
-        // Epsilon-close whichever kernel the environment picked.
-        Tensor fused = splitConv2dForwardFused(
-            x, w, b, win, scheme, /*use_winograd=*/false);
-        EXPECT_TRUE(allClose(fused, materialized(), 1e-4f))
-            << hc.name;
-    }
-}
-
-TEST(SplitOp, FusedWinogradBitwiseMatchesMaterialized)
-{
-    uint32_t seed = 60;
-    for (const auto &hc : kHaloCases) {
-        const Window2d win =
-            Window2d::square(hc.k, hc.s, hc.p);
-        if (!winogradApplicable(win))
-            continue;
-        Rng rng(++seed);
-        Tensor x(Shape{2, 3, hc.ih, hc.iw});
-        x.fillNormal(rng, 0.0f, 1.0f);
-        Tensor w(Shape{4, 3, 3, 3});
-        w.fillNormal(rng, 0.0f, 0.4f);
-        Tensor b(Shape{4});
-        b.fillNormal(rng, 0.0f, 0.4f);
-        const auto scheme =
-            makeScheme(win, hc.ih, hc.iw, hc.nh, hc.nw);
-        // Materializing path pinned to the Winograd kernel so the
-        // comparison is like-for-like (Auto's cost model would pick
-        // im2col for these small channel counts).
-        auto materialized = [&] {
-            return runSplitOp(
-                x, win, scheme,
-                [&](const Tensor &patch, const Window2d &local) {
-                    return conv2dForwardWinograd(patch, w, b, local);
-                });
-        };
-        {
-            // Bitwise under the scalar reference kernel.
-            ScopedSimd pin(false);
-            Tensor fused = splitConv2dForwardFused(
-                x, w, b, win, scheme, /*use_winograd=*/true);
-            Tensor sref = materialized();
-            ASSERT_EQ(fused.shape(), sref.shape()) << hc.name;
-            EXPECT_TRUE(allClose(fused, sref, 0.0f)) << hc.name;
-        }
-        // Epsilon-close whichever kernel the environment picked.
-        Tensor fused = splitConv2dForwardFused(
-            x, w, b, win, scheme, /*use_winograd=*/true);
-        EXPECT_TRUE(allClose(fused, materialized(), 1e-4f))
-            << hc.name;
-    }
-}
-
-TEST(SplitOp, FusedMatchesMaterializedWithinTolerance)
-{
-    uint32_t seed = 80;
-    for (const auto &hc : kHaloCases) {
-        Rng rng(++seed);
-        Tensor x(Shape{2, 3, hc.ih, hc.iw});
-        x.fillNormal(rng, 0.0f, 1.0f);
-        Tensor w(Shape{4, 3, hc.k, hc.k});
-        w.fillNormal(rng, 0.0f, 0.4f);
-        const Window2d win =
-            Window2d::square(hc.k, hc.s, hc.p);
-        const auto scheme =
-            makeScheme(win, hc.ih, hc.iw, hc.nh, hc.nw);
-        Tensor fused = splitConv2dForwardFused(
-            x, w, Tensor(), win, scheme, /*use_winograd=*/false);
-        Tensor ref = splitConv2dForwardMaterialized(x, w, Tensor(),
-                                                    win, scheme);
-        ASSERT_EQ(fused.shape(), ref.shape()) << hc.name;
-        EXPECT_TRUE(allClose(fused, ref, 1e-4f)) << hc.name;
-    }
-}
-
-/**
- * Fused zero-copy split pooling vs the materializing reference, over
- * the same halo-geometry sweep as the conv tests (1px borders,
- * uneven patch grids, stride-2, 2-row halos) plus natural pool
- * shapes. The patch kernels replay maxPool2dForward /
- * avgPool2dForward's clip tests and tap order on parent memory, so
- * equality is bitwise — max selection is order-sensitive and avg
- * accumulation order fixed, no epsilon needed.
- */
-const HaloCase kPoolCases[] = {
-    {"borders_1px", 9, 9, 3, 1, 1, 3, 3},
-    {"uneven", 17, 19, 3, 1, 1, 3, 4},
-    {"stride2", 18, 22, 3, 2, 1, 2, 3},
-    {"big_halo", 16, 16, 5, 1, 2, 2, 2},
-    {"no_pad", 14, 12, 3, 1, 0, 2, 2},
-    {"tiny_patches", 7, 7, 3, 1, 1, 3, 3},
-    {"natural_2x2", 16, 16, 2, 2, 0, 2, 2},
-    {"natural_pad", 14, 14, 2, 2, 1, 2, 2},
-    {"pool3_stride2", 21, 17, 3, 2, 1, 3, 2},
-};
-
-TEST(SplitPool, FusedMaxBitwiseMatchesMaterialized)
-{
-    uint32_t seed = 200;
-    for (const auto &hc : kPoolCases) {
-        Rng rng(++seed);
-        Tensor x(Shape{2, 3, hc.ih, hc.iw});
-        x.fillNormal(rng, 0.0f, 1.0f);
-        const Window2d win = Window2d::square(hc.k, hc.s, hc.p);
-        const auto scheme =
-            makeScheme(win, hc.ih, hc.iw, hc.nh, hc.nw);
-        Tensor fused = splitMaxPool2dForwardFused(x, win, scheme);
-        Tensor ref =
-            splitMaxPool2dForwardMaterialized(x, win, scheme);
-        ASSERT_EQ(fused.shape(), ref.shape()) << hc.name;
-        EXPECT_TRUE(allClose(fused, ref, 0.0f)) << hc.name;
-    }
-}
-
-TEST(SplitPool, FusedAvgBitwiseMatchesMaterialized)
-{
-    uint32_t seed = 220;
-    for (const auto &hc : kPoolCases) {
-        Rng rng(++seed);
-        Tensor x(Shape{2, 3, hc.ih, hc.iw});
-        x.fillNormal(rng, 0.0f, 1.0f);
-        const Window2d win = Window2d::square(hc.k, hc.s, hc.p);
-        const auto scheme =
-            makeScheme(win, hc.ih, hc.iw, hc.nh, hc.nw);
-        Tensor fused = splitAvgPool2dForwardFused(x, win, scheme);
-        Tensor ref =
-            splitAvgPool2dForwardMaterialized(x, win, scheme);
-        ASSERT_EQ(fused.shape(), ref.shape()) << hc.name;
-        EXPECT_TRUE(allClose(fused, ref, 0.0f)) << hc.name;
-    }
-}
-
 /** All-padding windows (possible on heavily padded tiny patches)
- * must write 0 through the fused path exactly like the reference. */
-TEST(SplitPool, FusedMaxHandlesAllPaddingWindows)
+ * must write 0 and record no argmax, exactly like the oracle. */
+TEST(SplitPool, MaxHandlesAllPaddingWindows)
 {
     Rng rng(250);
     Tensor x(Shape{1, 2, 6, 6});
@@ -436,78 +237,155 @@ TEST(SplitPool, FusedMaxHandlesAllPaddingWindows)
     // padding.
     const Window2d win = Window2d::square(2, 2, 2);
     const auto scheme = makeScheme(win, 6, 6, 2, 2);
-    Tensor fused = splitMaxPool2dForwardFused(x, win, scheme);
-    Tensor ref = splitMaxPool2dForwardMaterialized(x, win, scheme);
-    EXPECT_TRUE(allClose(fused, ref, 0.0f));
-    EXPECT_EQ(fused.at4(0, 0, 0, 0), 0.0f);
+    std::vector<int64_t> argmax, ref_argmax;
+    Tensor got = splitMaxPool2dForward(x, win, scheme, argmax);
+    Tensor ref = oracle::splitMaxPoolForward(x, win, scheme, &ref_argmax);
+    EXPECT_TRUE(allClose(got, ref, 0.0f));
+    EXPECT_EQ(argmax, ref_argmax);
+    EXPECT_EQ(got.at4(0, 0, 0, 0), 0.0f);
+    EXPECT_EQ(argmax[0], -1);
 }
 
+TEST(SplitOp, UnsplitSchemeIsOnePieceWithOwnPaddings)
+{
+    // Asymmetric padding and a k < s window: one piece per axis
+    // covering the whole input, the op's own paddings, and the op's
+    // output extents.
+    for (const Window2d &win : {Window2d{3, 5, 1, 2, 1, 0, 2, 1},
+                                Window2d{1, 1, 2, 2, 0, 0, 0, 0},
+                                Window2d{2, 2, 3, 3, 1, 0, 0, 1}}) {
+        const SplitScheme2d scheme = unsplitScheme(win, 13, 11);
+        ASSERT_EQ(scheme.parts(), 1) << win.toString();
+        const SplitPiece1d &ph = scheme.h.pieces[0];
+        const SplitPiece1d &pw = scheme.w.pieces[0];
+        EXPECT_EQ(ph.in_start, 0);
+        EXPECT_EQ(ph.in_end, 13);
+        EXPECT_EQ(pw.in_end, 11);
+        EXPECT_EQ(ph.out_end, win.outH(13));
+        EXPECT_EQ(pw.out_end, win.outW(11));
+        const Window2d local = patchWindow(win, scheme, 0, 0);
+        EXPECT_EQ(local.ph_b, win.ph_b);
+        EXPECT_EQ(local.ph_e, win.ph_e);
+        EXPECT_EQ(local.pw_b, win.pw_b);
+        EXPECT_EQ(local.pw_e, win.pw_e);
+    }
+    EXPECT_THROW(unsplitScheme(Window2d::square(5, 1, 0), 3, 3),
+                 std::exception);
+}
+
+/** One 3x3/s1 layer on a 2x2 split of a 16x16 input: the shape the
+ * Winograd weight-cache tests drive. */
+struct CacheLayer
+{
+    Tensor x{Shape{1, 3, 16, 16}};
+    Tensor w{Shape{4, 3, 3, 3}};
+    Window2d win = Window2d::square(3, 1, 1);
+    SplitScheme2d scheme = makeScheme(win, 16, 16, 2, 2);
+
+    explicit CacheLayer(Rng &rng)
+    {
+        x.fillNormal(rng, 0.0f, 1.0f);
+        w.fillNormal(rng, 0.0f, 0.4f);
+    }
+
+    Tensor forward(ConvKernel kernel = ConvKernel::Winograd) const
+    {
+        return splitConv2dForward(x, w, Tensor(), win, scheme, kernel);
+    }
+};
+
 /**
- * The weight-panel cache must turn repeated fused calls into exactly
- * one pack per (layer, kernel choice) — packs == layers — serve hits
- * bitwise-identically to the miss that packed, and repack when a
- * layer's weights change in place.
+ * The Winograd weight cache: the patch clones of one layer share one
+ * U transform — 1 miss, then hits that pack nothing and serve
+ * identical bytes.
  */
-TEST(SplitOp, WeightPanelCachePacksOncePerLayer)
+TEST(SplitOp, WinogradCacheSharesOneTransformAcrossClones)
 {
     splitWeightCacheClear();
     Rng rng(300);
-    Tensor x(Shape{1, 3, 16, 16});
-    x.fillNormal(rng, 0.0f, 1.0f);
-    Tensor w1(Shape{4, 3, 3, 3});
-    w1.fillNormal(rng, 0.0f, 0.4f);
-    Tensor w2(Shape{4, 3, 3, 3});
-    w2.fillNormal(rng, 0.0f, 0.4f);
-    const Window2d win = Window2d::square(3, 1, 1);
-    const auto scheme = makeScheme(win, 16, 16, 2, 2);
+    const CacheLayer layer(rng);
 
     const int64_t packs0 = gemmPackACalls();
-    Tensor first1 = splitConv2dForwardFused(x, w1, Tensor(), win,
-                                            scheme, false);
-    Tensor first2 = splitConv2dForwardFused(x, w2, Tensor(), win,
-                                            scheme, false);
+    const Tensor first = layer.forward();
     const int64_t packs_after_miss = gemmPackACalls();
-    EXPECT_EQ(packs_after_miss - packs0, 2)
-        << "two layers must pack exactly twice";
-    auto stats = splitWeightCacheStats();
-    EXPECT_EQ(stats.misses, 2);
-    EXPECT_EQ(stats.hits, 0);
-    EXPECT_EQ(stats.entries, 2);
-
-    // Second pass over the same "network": all hits, zero packs,
-    // identical bytes.
-    Tensor again1 = splitConv2dForwardFused(x, w1, Tensor(), win,
-                                            scheme, false);
-    Tensor again2 = splitConv2dForwardFused(x, w2, Tensor(), win,
-                                            scheme, false);
+    EXPECT_EQ(packs_after_miss - packs0, 16)
+        << "one U transform packs the 16 transform points";
+    for (int clone = 1; clone < 4; ++clone)
+        EXPECT_TRUE(allClose(first, layer.forward(), 0.0f));
     EXPECT_EQ(gemmPackACalls(), packs_after_miss)
         << "cache hits must not repack";
-    stats = splitWeightCacheStats();
-    EXPECT_EQ(stats.misses, 2);
-    EXPECT_EQ(stats.hits, 2);
-    EXPECT_TRUE(allClose(first1, again1, 0.0f));
-    EXPECT_TRUE(allClose(first2, again2, 0.0f));
-
-    // In-place weight update (training step): the content hash must
-    // catch it and repack rather than serve stale panels.
-    for (int64_t i = 0; i < w1.numel(); ++i)
-        w1.at(i) += 0.25f;
-    Tensor updated = splitConv2dForwardFused(x, w1, Tensor(), win,
-                                             scheme, false);
-    stats = splitWeightCacheStats();
-    EXPECT_EQ(stats.misses, 3) << "stale entry must repack";
-    Tensor fresh =
-        splitConv2dForwardMaterialized(x, w1, Tensor(), win, scheme);
-    EXPECT_TRUE(allClose(updated, fresh, 1e-4f));
-
+    const auto stats = splitWeightCacheStats();
+    EXPECT_EQ(stats.misses, 1);
+    EXPECT_EQ(stats.hits, 3);
+    EXPECT_EQ(stats.entries, 1);
     splitWeightCacheClear();
-    EXPECT_EQ(splitWeightCacheStats().entries, 0);
 }
 
-/** The Winograd kernel choice gets its own cache slot (its packed U
- * layout differs from the GEMM A panels for the same weights). */
-TEST(SplitOp, WeightPanelCacheKeyedByKernelChoice)
+/** An in-place weight update (an SGD step): the content hash must
+ * catch it and repack rather than serve a stale U. */
+TEST(SplitOp, WinogradCacheRepacksAfterInPlaceUpdate)
 {
+    splitWeightCacheClear();
+    Rng rng(310);
+    CacheLayer layer(rng);
+    layer.forward();
+    for (int64_t i = 0; i < layer.w.numel(); ++i)
+        layer.w.at(i) += 0.25f;
+    const Tensor updated = layer.forward();
+    const auto stats = splitWeightCacheStats();
+    EXPECT_EQ(stats.misses, 2) << "stale entry must repack";
+    EXPECT_EQ(stats.evictions, 0) << "same layer repacks, not evicts";
+    const Tensor ref = oracle::splitConvForward(
+        layer.x, layer.w, Tensor(), layer.win, layer.scheme,
+        /*winograd=*/true);
+    {
+        ScopedSimd pin(false);
+        EXPECT_TRUE(allClose(layer.forward(), ref, 0.0f));
+    }
+    EXPECT_TRUE(allClose(updated, ref, 1e-4f));
+    splitWeightCacheClear();
+}
+
+/** Another layer displaces the single entry and the stats say so. */
+TEST(SplitOp, WinogradCacheEvictionsAreCounted)
+{
+    splitWeightCacheClear();
+    Rng rng(315);
+    const CacheLayer first(rng), second(rng);
+    first.forward();
+    second.forward();
+    const auto stats = splitWeightCacheStats();
+    EXPECT_EQ(stats.misses, 2);
+    EXPECT_EQ(stats.evictions, 1);
+    EXPECT_EQ(stats.entries, 1);
+    splitWeightCacheClear();
+}
+
+/** The im2col kernel and the backward pack per call: no lookups. */
+TEST(SplitOp, Im2colAndBackwardNeverLookUpWeightCache)
+{
+    splitWeightCacheClear();
+    Rng rng(318);
+    const CacheLayer layer(rng);
+    layer.forward(ConvKernel::Im2col);
+    Tensor go(Shape{1, 4, 16, 16});
+    go.fillNormal(rng, 0.0f, 1.0f);
+    Tensor gx, gb;
+    Tensor gw(layer.w.shape());
+    splitConv2dBackward(layer.x, layer.w, go, layer.win, layer.scheme, gx,
+                        gw, gb);
+    const auto stats = splitWeightCacheStats();
+    EXPECT_EQ(stats.hits + stats.misses, 0);
+    EXPECT_EQ(stats.entries, 0);
+    splitWeightCacheClear();
+}
+
+/** Packed U layouts depend on the microkernel, so switching it must
+ * miss instead of serving panels packed for the other one. */
+TEST(SplitOp, WinogradCacheKeyedByMicrokernel)
+{
+    if (!simdAvailable())
+        GTEST_SKIP() << "no SIMD kernel on this build/CPU";
     splitWeightCacheClear();
     Rng rng(320);
     Tensor x(Shape{1, 3, 16, 16});
@@ -516,16 +394,14 @@ TEST(SplitOp, WeightPanelCacheKeyedByKernelChoice)
     w.fillNormal(rng, 0.0f, 0.4f);
     const Window2d win = Window2d::square(3, 1, 1);
     const auto scheme = makeScheme(win, 16, 16, 2, 2);
-
-    splitConv2dForwardFused(x, w, Tensor(), win, scheme, false);
-    splitConv2dForwardFused(x, w, Tensor(), win, scheme, true);
-    auto stats = splitWeightCacheStats();
-    EXPECT_EQ(stats.misses, 2) << "im2col and winograd panels are "
-                                  "distinct cache entries";
-    EXPECT_EQ(stats.entries, 2);
-    splitConv2dForwardFused(x, w, Tensor(), win, scheme, true);
-    stats = splitWeightCacheStats();
-    EXPECT_EQ(stats.hits, 1);
+    for (const bool simd : {false, true}) {
+        ScopedSimd pin(simd);
+        splitConv2dForward(x, w, Tensor(), win, scheme,
+                           ConvKernel::Winograd);
+    }
+    const auto stats = splitWeightCacheStats();
+    EXPECT_EQ(stats.misses, 2);
+    EXPECT_EQ(stats.hits, 0);
     splitWeightCacheClear();
 }
 

@@ -77,7 +77,7 @@ TEST(Splitter, OutputShapeUnchanged)
 TEST(Splitter, SplitGraphMatchesEagerSplitOp)
 {
     // A single conv region: the graph transform must agree exactly
-    // with the eager runSplitOp reference implementation.
+    // with the eager split conv on the same scheme.
     GraphBuilder b;
     TensorId x = b.input(Shape{1, 3, 20, 20});
     x = b.conv2d(x, 4, Window2d::square(3, 1, 1), true, "conv1");

@@ -1,8 +1,8 @@
 /**
  * @file
- * Winograd F(2x2, 3x3) tests: exact agreement with the direct im2col
- * convolution across shapes/paddings, odd output extents, bias
- * handling, geometry rejection, and the workspace accounting.
+ * Winograd F(2x2, 3x3) tests: agreement with the im2col kernel of the
+ * same engine across shapes/paddings, odd output extents, bias
+ * handling, and geometry rejection.
  */
 #include "kernels/winograd.h"
 
@@ -10,12 +10,22 @@
 
 #include <tuple>
 
-#include "kernels/conv2d.h"
+#include "core/split_op.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
 
 namespace scnn {
 namespace {
+
+/** One unsplit conv through the engine with the kernel pinned. */
+Tensor
+conv(const Tensor &x, const Tensor &w, const Tensor &b,
+     const Window2d &win, ConvKernel kernel)
+{
+    return splitConv2dForward(
+        x, w, b, win,
+        unsplitScheme(win, x.shape().dim(2), x.shape().dim(3)), kernel);
+}
 
 class WinogradSweep
     : public ::testing::TestWithParam<
@@ -37,8 +47,8 @@ TEST_P(WinogradSweep, MatchesDirectConvolution)
         b.fillNormal(rng, 0.0f, 0.5f);
     }
     const Window2d win = Window2d::square(3, 1, pad);
-    Tensor fast = conv2dForwardWinograd(x, w, b, win);
-    Tensor ref = conv2dForward(x, w, b, win);
+    Tensor fast = conv(x, w, b, win, ConvKernel::Winograd);
+    Tensor ref = conv(x, w, b, win, ConvKernel::Im2col);
     ASSERT_EQ(fast.shape(), ref.shape());
     EXPECT_LT(maxAbsDiff(fast, ref), 1e-3f);
 }
@@ -60,8 +70,8 @@ TEST(Winograd, AsymmetricPadding)
     x.fillNormal(rng, 0.0f, 1.0f);
     w.fillNormal(rng, 0.0f, 0.5f);
     const Window2d win{3, 3, 1, 1, 1, 0, 0, 1}; // split-style pads
-    Tensor fast = conv2dForwardWinograd(x, w, Tensor(), win);
-    Tensor ref = conv2dForward(x, w, Tensor(), win);
+    Tensor fast = conv(x, w, Tensor(), win, ConvKernel::Winograd);
+    Tensor ref = conv(x, w, Tensor(), win, ConvKernel::Im2col);
     EXPECT_LT(maxAbsDiff(fast, ref), 1e-3f);
 }
 
@@ -72,19 +82,9 @@ TEST(Winograd, RejectsNonWinogradGeometry)
     EXPECT_FALSE(winogradApplicable(Window2d::square(5, 1, 2)));
     EXPECT_FALSE(winogradApplicable(Window2d::square(3, 2, 1)));
     EXPECT_TRUE(winogradApplicable(Window2d::square(3, 1, 1)));
-    EXPECT_THROW(
-        conv2dForwardWinograd(x, w5, Tensor(),
-                              Window2d::square(5, 1, 2)),
-        std::exception);
-}
-
-TEST(Winograd, WorkspaceGrowsWithChannels)
-{
-    Tensor x8(Shape{1, 8, 8, 8}), x32(Shape{1, 32, 8, 8});
-    Tensor w8(Shape{16, 8, 3, 3}), w32(Shape{16, 32, 3, 3});
-    const Window2d win = Window2d::square(3, 1, 1);
-    EXPECT_LT(winogradWorkspaceBytes(x8, w8, win),
-              winogradWorkspaceBytes(x32, w32, win));
+    EXPECT_THROW(conv(x, w5, Tensor(), Window2d::square(5, 1, 2),
+                      ConvKernel::Winograd),
+                 std::exception);
 }
 
 } // namespace

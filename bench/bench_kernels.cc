@@ -21,9 +21,11 @@
  */
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/split_op.h"
@@ -328,6 +330,153 @@ main(int argc, char **argv)
         setGlobalThreads(1);
     }
 
+    // --- small-map convs: the deep layers of a split network ---------
+    // Per-patch clone shapes of a 2x2-split VGG-19 once its maps have
+    // shrunk to 2x2 and 1x1 outputs — the regime image grouping
+    // (splitConvImageGroups) targets. Each row times the engine on the
+    // whole batch (grouped) and one image at a time (what per-image
+    // work items cost), 1 thread, Auto kernel choice.
+    struct SmallConv
+    {
+        const char *name;
+        const char *workload;
+        int64_t n, c, oc, hw; ///< batch, channels, square output side
+        bool backward;
+        const char *kernel = "";
+        double fwd_ms = 0, per_image_fwd_ms = 0;
+        double bwd_ms = 0, per_image_bwd_ms = 0;
+
+        double flops() const { return 2.0 * n * oc * c * 9 * hw * hw; }
+    };
+    std::vector<SmallConv> small_convs = {
+        {"infer_conv6", "8x32x4x4 * 32x32x3x3 pad 1 (4x4 output)", 8,
+         32, 32, 4, false},
+        {"infer_conv10", "8x64x2x2 * 64x64x3x3 pad 1 (2x2 output)", 8,
+         64, 64, 2, false},
+        {"infer_conv13", "8x64x1x1 * 64x64x3x3 pad 1 (1x1 output)", 8,
+         64, 64, 1, false},
+        {"train_conv13", "32x32x2x2 * 32x32x3x3 pad 1 (2x2 output)", 32,
+         32, 32, 2, true},
+    };
+    for (SmallConv &sc : small_convs) {
+        Rng srng(6);
+        Tensor sx(Shape{sc.n, sc.c, sc.hw, sc.hw});
+        Tensor sw(Shape{sc.oc, sc.c, 3, 3});
+        Tensor sgo(Shape{sc.n, sc.oc, sc.hw, sc.hw});
+        sx.fillNormal(srng, 0.0f, 1.0f);
+        sw.fillNormal(srng, 0.0f, 0.1f);
+        sgo.fillNormal(srng, 0.0f, 1.0f);
+        // Batch-1 copies for the per-image side.
+        std::vector<Tensor> xs, gos;
+        const int64_t xsz = sc.c * sc.hw * sc.hw;
+        const int64_t gsz = sc.oc * sc.hw * sc.hw;
+        for (int64_t i = 0; i < sc.n; ++i) {
+            xs.emplace_back(Shape{1, sc.c, sc.hw, sc.hw});
+            std::copy(sx.data() + i * xsz, sx.data() + (i + 1) * xsz,
+                      xs.back().data());
+            gos.emplace_back(Shape{1, sc.oc, sc.hw, sc.hw});
+            std::copy(sgo.data() + i * gsz, sgo.data() + (i + 1) * gsz,
+                      gos.back().data());
+        }
+        sc.kernel = splitConvUsesWinograd(ConvKernel::Auto, cwin, sc.c,
+                                          sc.oc)
+                        ? "winograd"
+                        : "im2col";
+        sc.fwd_ms = timeIt(
+                        [&] {
+                            Tensor out =
+                                conv2dForwardAuto(sx, sw, Tensor(), cwin);
+                        },
+                        21) *
+                    1e3;
+        sc.per_image_fwd_ms =
+            timeIt(
+                [&] {
+                    for (const Tensor &xi : xs) {
+                        Tensor out =
+                            conv2dForwardAuto(xi, sw, Tensor(), cwin);
+                    }
+                },
+                21) *
+            1e3;
+        if (!sc.backward)
+            continue;
+        sc.bwd_ms = timeIt(
+                        [&] {
+                            Tensor gx, gb;
+                            Tensor gw(sw.shape());
+                            conv2dBackward(sx, sw, sgo, cwin, gx, gw, gb);
+                        },
+                        21) *
+                    1e3;
+        sc.per_image_bwd_ms =
+            timeIt(
+                [&] {
+                    Tensor gw(sw.shape());
+                    for (int64_t i = 0; i < sc.n; ++i) {
+                        Tensor gx, gb;
+                        conv2dBackward(xs[static_cast<size_t>(i)], sw,
+                                       gos[static_cast<size_t>(i)], cwin,
+                                       gx, gw, gb);
+                    }
+                },
+                21) *
+            1e3;
+    }
+
+    // Packed-GEMM throughput against N at the two GEMM shapes those
+    // layers run (im2col: M = oc = 64, K = 64*9; a Winograd transform
+    // point: M = K = 64), B packed per call as the engine does. Where
+    // it flattens is where grouping stops paying: the basis for
+    // kSplitConvGroupCols.
+    struct GemmNPoint
+    {
+        int64_t m, k, n;
+        double gflops;
+    };
+    std::vector<GemmNPoint> gemm_n_sweep;
+    {
+        Rng grng(7);
+        const int64_t max_n = 256;
+        for (const auto &mk : {std::pair<int64_t, int64_t>{64, 576},
+                               std::pair<int64_t, int64_t>{64, 64}}) {
+            const int64_t m = mk.first, k = mk.second;
+            std::vector<float> a(static_cast<size_t>(m * k));
+            std::vector<float> b(static_cast<size_t>(k * max_n));
+            std::vector<float> c(static_cast<size_t>(m * max_n));
+            for (auto &v : a)
+                v = grng.normal();
+            for (auto &v : b)
+                v = grng.normal();
+            std::vector<float> pa_buf(
+                static_cast<size_t>(gemmPackedASize(m, k) + 16));
+            std::vector<float> pb_buf(
+                static_cast<size_t>(gemmPackedBSize(k, max_n) + 16));
+            auto align = [](std::vector<float> &v) {
+                auto addr = reinterpret_cast<uintptr_t>(v.data());
+                return reinterpret_cast<float *>((addr + 63) &
+                                                 ~uintptr_t{63});
+            };
+            float *pa = align(pa_buf);
+            float *pb = align(pb_buf);
+            gemmPackA(m, k, 1.0f, a.data(), pa);
+            for (int64_t n : {1, 2, 4, 8, 16, 32, 64, 128, 256}) {
+                const int inner = 64;
+                const double t = timeIt(
+                    [&] {
+                        for (int i = 0; i < inner; ++i) {
+                            gemmPackB(k, n, b.data(), max_n, pb);
+                            gemmPackedAB(m, n, k, pa, pb, 0.0f,
+                                         c.data(), n);
+                        }
+                    },
+                    11);
+                gemm_n_sweep.push_back(
+                    {m, k, n, 2.0 * m * n * k * inner / t / 1e9});
+            }
+        }
+    }
+
     auto findIn = [](const std::vector<SplitResult> &v, int depth,
                      int threads) -> const SplitResult * {
         for (const auto &r : v)
@@ -439,7 +588,46 @@ main(int argc, char **argv)
     std::fprintf(f, "  ],\n");
     writeSummary("split_backward_summary", backward_splits,
                  "split_backward_overhead_ratio_1t");
-    std::fprintf(f, "\n");
+    std::fprintf(f, ",\n");
+    std::fprintf(f, "  \"small_spatial_conv\": {\n");
+    std::fprintf(f, "    \"threads\": 1, \"group_cols\": %lld,\n",
+                 static_cast<long long>(kSplitConvGroupCols));
+    std::fprintf(f, "    \"layers\": [\n");
+    for (size_t i = 0; i < small_convs.size(); ++i) {
+        const SmallConv &sc = small_convs[i];
+        std::fprintf(f,
+                     "      {\"name\": \"%s\", \"workload\": \"%s\", "
+                     "\"kernel\": \"%s\", \"fwd_ms\": %.4f, "
+                     "\"fwd_gflops\": %.2f, \"per_image_fwd_ms\": "
+                     "%.4f, \"fwd_group_speedup\": %.2f",
+                     sc.name, sc.workload, sc.kernel, sc.fwd_ms,
+                     sc.flops() / (sc.fwd_ms * 1e6),
+                     sc.per_image_fwd_ms,
+                     sc.per_image_fwd_ms / sc.fwd_ms);
+        if (sc.backward)
+            std::fprintf(f,
+                         ", \"bwd_ms\": %.4f, \"bwd_gflops\": %.2f, "
+                         "\"per_image_bwd_ms\": %.4f, "
+                         "\"bwd_group_speedup\": %.2f",
+                         sc.bwd_ms, 2.0 * sc.flops() / (sc.bwd_ms * 1e6),
+                         sc.per_image_bwd_ms,
+                         sc.per_image_bwd_ms / sc.bwd_ms);
+        std::fprintf(f, "}%s\n", i + 1 < small_convs.size() ? "," : "");
+    }
+    std::fprintf(f, "    ],\n");
+    std::fprintf(f, "    \"gemm_n_sweep\": [\n");
+    for (size_t i = 0; i < gemm_n_sweep.size(); ++i) {
+        const GemmNPoint &g = gemm_n_sweep[i];
+        std::fprintf(f,
+                     "      {\"m\": %lld, \"k\": %lld, \"n\": %lld, "
+                     "\"gflops\": %.2f}%s\n",
+                     static_cast<long long>(g.m),
+                     static_cast<long long>(g.k),
+                     static_cast<long long>(g.n), g.gflops,
+                     i + 1 < gemm_n_sweep.size() ? "," : "");
+    }
+    std::fprintf(f, "    ]\n");
+    std::fprintf(f, "  }\n");
     std::fprintf(f, "}\n");
     std::fclose(f);
 
@@ -474,5 +662,24 @@ main(int argc, char **argv)
                     "unsplit %.3f ms, overhead %.2fx\n",
                     r.depth, r.depth, r.threads, r.split_ms,
                     r.unsplit_ms, r.overheadRatio());
+    for (const SmallConv &sc : small_convs) {
+        std::printf("small conv %s (%s, 1t): fwd %.4f ms (%.2f GF/s), "
+                    "per image %.4f ms (%.2fx)",
+                    sc.name, sc.kernel, sc.fwd_ms,
+                    sc.flops() / (sc.fwd_ms * 1e6), sc.per_image_fwd_ms,
+                    sc.per_image_fwd_ms / sc.fwd_ms);
+        if (sc.backward)
+            std::printf("; bwd %.4f ms (%.2f GF/s), per image %.4f ms "
+                        "(%.2fx)",
+                        sc.bwd_ms, 2.0 * sc.flops() / (sc.bwd_ms * 1e6),
+                        sc.per_image_bwd_ms,
+                        sc.per_image_bwd_ms / sc.bwd_ms);
+        std::printf("\n");
+    }
+    for (const GemmNPoint &g : gemm_n_sweep)
+        std::printf("packed gemm m %lld k %lld n %lld: %.2f GF/s\n",
+                    static_cast<long long>(g.m),
+                    static_cast<long long>(g.k),
+                    static_cast<long long>(g.n), g.gflops);
     return 0;
 }

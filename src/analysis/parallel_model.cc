@@ -453,27 +453,71 @@ analyzeParallelPlan(const ParallelPlan &plan)
 // cannot drift apart silently.
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/** Display name of the images [n0, n1): "img3" or "img0-7". */
+std::string
+imagesName(int64_t n0, int64_t n1)
+{
+    std::ostringstream os;
+    os << "img" << n0;
+    if (n1 - n0 > 1)
+        os << "-" << n1 - 1;
+    return os.str();
+}
+
+/** The contiguous hull of patch (ph, pw)'s input rectangle in image
+ * @p in, channel 0's first float through channel c-1's last — the
+ * span the shadow recorder logs, provably inside the image. */
+StridedSpan
+patchInputHull(int64_t in, int64_t c, int64_t ih, int64_t iw,
+               const SplitPiece1d &ph, const SplitPiece1d &pw)
+{
+    const int64_t first = ph.in_start * iw + pw.in_start;
+    const int64_t last = (c - 1) * ih * iw +
+                         (ph.in_start + ph.inLen() - 1) * iw +
+                         pw.in_start + pw.inLen();
+    return StridedSpan::interval(in * c * ih * iw + first, last - first);
+}
+
+/** Add a region owned by the next item (its scratch-arena scope) and
+ * give that item a write and a read of all of it. */
+void
+addOwnedArena(ParallelPlan &plan, ParallelItem &item, int64_t floats)
+{
+    const int64_t owner = static_cast<int64_t>(plan.items.size());
+    ParallelRegion arena;
+    arena.name = "arena:" + std::to_string(owner);
+    arena.size = floats;
+    arena.owner = owner;
+    plan.regions.push_back(arena);
+    ParallelAccess warena;
+    warena.region = static_cast<int>(plan.regions.size()) - 1;
+    warena.write = true;
+    warena.span = StridedSpan::interval(0, floats);
+    item.accesses.push_back(warena);
+    ParallelAccess rarena = warena;
+    rarena.write = false;
+    item.accesses.push_back(rarena);
+}
+
+} // namespace
+
 ParallelPlan
 buildSplitConvPlan(int64_t n, int64_t c, int64_t ih, int64_t iw,
                    int64_t oc, const Window2d &win,
-                   const SplitScheme2d &scheme)
+                   const SplitScheme2d &scheme, bool winograd)
 {
     ParallelPlan plan;
     plan.name = "split_conv";
     const int64_t out_h = scheme.h.pieces.back().out_end;
     const int64_t out_w = scheme.w.pieces.back().out_end;
+    const int64_t ospatial = out_h * out_w;
     const int64_t krows = c * win.kh * win.kw;
-
-    // The panel region covers whichever packed layout the dispatcher
-    // picks (im2col A panels or the 16 Winograd U matrices) — the
-    // footprints differ only in size, never in sharing discipline.
-    const int64_t panel_floats =
-        std::max(gemmPackedASize(oc, krows),
-                 winogradPackedUSize(oc, c));
 
     ParallelRegion out_region;
     out_region.name = "output";
-    out_region.size = n * oc * out_h * out_w;
+    out_region.size = n * oc * ospatial;
     out_region.exact_cover = true;
     plan.regions.push_back(out_region);
 
@@ -483,6 +527,10 @@ buildSplitConvPlan(int64_t n, int64_t c, int64_t ih, int64_t iw,
     in_region.read_only = true;
     plan.regions.push_back(in_region);
 
+    // The packed weights: im2col A panels or the 16 Winograd U
+    // matrices, shared read-only by every item.
+    const int64_t panel_floats = winograd ? winogradPackedUSize(oc, c)
+                                          : gemmPackedASize(oc, krows);
     ParallelRegion w_region;
     w_region.name = "weight_panels";
     w_region.size = panel_floats;
@@ -491,95 +539,62 @@ buildSplitConvPlan(int64_t n, int64_t c, int64_t ih, int64_t iw,
 
     const std::vector<SplitBandItem> bands =
         splitConvBandItems(scheme.h);
-    int64_t max_band_rows = 0;
-    for (const SplitBandItem &b : bands)
-        max_band_rows = std::max(max_band_rows, b.oy1 - b.oy0);
-    const int64_t max_band_cols = max_band_rows * out_w;
+    const int64_t image_cols = splitConvImageCols(scheme, winograd);
+    const std::vector<SplitImageGroup> groups =
+        splitConvImageGroups(n, image_cols);
+    const int64_t group_size = groups.empty() ? 1 : groups[0].n1;
+    const int64_t max_item_cols = group_size * image_cols;
+    // A worker's staging: the V and M tile matrices (Winograd), or the
+    // column matrix, its packed B and — for groups — the C block.
     const int64_t arena_floats =
-        krows * max_band_cols + gemmPackedBSize(krows, max_band_cols);
+        winograd ? 16 * (c + oc) * max_item_cols
+                 : krows * max_item_cols +
+                       gemmPackedBSize(krows, max_item_cols) +
+                       (group_size > 1 ? oc * max_item_cols : 0);
 
-    const int64_t n_bands = static_cast<int64_t>(bands.size());
-    for (int64_t i = 0; i < n * n_bands; ++i) {
-        const int64_t in = i / n_bands;
-        const SplitBandItem &band =
-            bands[static_cast<size_t>(i % n_bands)];
-        const SplitPiece1d &ph =
-            scheme.h.pieces[static_cast<size_t>(band.hi)];
+    for (const SplitImageGroup &grp : groups)
+        for (const SplitBandItem &band : bands) {
+            const SplitPiece1d &ph =
+                scheme.h.pieces[static_cast<size_t>(band.hi)];
+            ParallelItem item;
+            item.name = imagesName(grp.n0, grp.n1) + ":band" +
+                        std::to_string(band.hi) + "." +
+                        std::to_string(band.oy0);
+            item.epoch = 0; // one parallelFor = one barrier group
 
-        // Every item owns a private staging region (its worker's
-        // scratch-arena scope); nothing else may touch it.
-        ParallelRegion arena;
-        {
-            std::ostringstream os;
-            os << "arena:" << i;
-            arena.name = os.str();
+            // The item writes parent output rows
+            // [out_start + oy0, out_start + oy1) of every channel of
+            // every image in the group, full width (all width patches
+            // of the band). Image stride = oc channel strides, so the
+            // group's channels form one run at the channel stride.
+            ParallelAccess wout;
+            wout.region = 0;
+            wout.write = true;
+            wout.span = {grp.n0 * oc * ospatial +
+                             (ph.out_start + band.oy0) * out_w,
+                         (grp.n1 - grp.n0) * oc, ospatial, 1, 0,
+                         (band.oy1 - band.oy0) * out_w};
+            item.accesses.push_back(wout);
+
+            // Halo reads: each width patch's input rectangle in every
+            // image of the group.
+            for (int64_t in = grp.n0; in < grp.n1; ++in)
+                for (const SplitPiece1d &pw : scheme.w.pieces) {
+                    ParallelAccess rin;
+                    rin.region = 1;
+                    rin.span = patchInputHull(in, c, ih, iw, ph, pw);
+                    item.accesses.push_back(rin);
+                }
+
+            ParallelAccess rw_panels;
+            rw_panels.region = 2;
+            rw_panels.span = StridedSpan::interval(0, panel_floats);
+            item.accesses.push_back(rw_panels);
+
+            // Staging lives in the item's own arena region.
+            addOwnedArena(plan, item, arena_floats);
+            plan.items.push_back(std::move(item));
         }
-        arena.size = arena_floats;
-        arena.owner = i;
-        plan.regions.push_back(arena);
-        const int arena_region =
-            static_cast<int>(plan.regions.size()) - 1;
-
-        ParallelItem item;
-        {
-            std::ostringstream os;
-            os << "img" << in << ":band" << band.hi << "."
-               << band.oy0;
-            item.name = os.str();
-        }
-        item.epoch = 0; // one parallelFor = one barrier group
-
-        // The band writes parent output rows
-        // [out_start + oy0, out_start + oy1) of every channel, full
-        // width (all width patches of the group), at the parent
-        // channel stride.
-        ParallelAccess wout;
-        wout.region = 0;
-        wout.write = true;
-        wout.span = {in * oc * out_h * out_w +
-                         (ph.out_start + band.oy0) * out_w,
-                     oc, out_h * out_w, 1, 0,
-                     (band.oy1 - band.oy0) * out_w};
-        item.accesses.push_back(wout);
-
-        // Halo reads: each width patch's input rectangle, modeled as
-        // the conservative contiguous hull from the rectangle's
-        // first float (channel 0) to its last (channel c-1) — the
-        // same hull the shadow recorder logs, and provably inside
-        // the image.
-        for (int wi = 0; wi < scheme.w.parts(); ++wi) {
-            const SplitPiece1d &pw =
-                scheme.w.pieces[static_cast<size_t>(wi)];
-            ParallelAccess rin;
-            rin.region = 1;
-            const int64_t first =
-                ph.in_start * iw + pw.in_start;
-            const int64_t last =
-                (c - 1) * ih * iw + (ph.in_start + ph.inLen() - 1) * iw +
-                pw.in_start + pw.inLen();
-            rin.span = StridedSpan::interval(
-                in * c * ih * iw + first, last - first);
-            item.accesses.push_back(rin);
-        }
-
-        // Weight panels are shared read-only by every item.
-        ParallelAccess rw_panels;
-        rw_panels.region = 2;
-        rw_panels.span = StridedSpan::interval(0, panel_floats);
-        item.accesses.push_back(rw_panels);
-
-        // Column staging lives in the item's own arena region.
-        ParallelAccess warena;
-        warena.region = arena_region;
-        warena.write = true;
-        warena.span = StridedSpan::interval(0, arena_floats);
-        item.accesses.push_back(warena);
-        ParallelAccess rarena = warena;
-        rarena.write = false;
-        item.accesses.push_back(rarena);
-
-        plan.items.push_back(std::move(item));
-    }
     return plan;
 }
 
@@ -661,6 +676,7 @@ buildSplitConvBackwardPlan(int64_t n, int64_t c, int64_t ih,
     plan.name = "split_conv_backward";
     const int64_t out_h = scheme.h.pieces.back().out_end;
     const int64_t out_w = scheme.w.pieces.back().out_end;
+    const int64_t ospatial = out_h * out_w;
     const int64_t krows = c * win.kh * win.kw;
     // The dgrad operand: W^T packed A panels (krows x oc), packed once
     // per call and shared read-only.
@@ -674,7 +690,7 @@ buildSplitConvBackwardPlan(int64_t n, int64_t c, int64_t ih,
 
     ParallelRegion go_region;
     go_region.name = "grad_out";
-    go_region.size = n * oc * out_h * out_w;
+    go_region.size = n * oc * ospatial;
     go_region.read_only = true;
     plan.regions.push_back(go_region);
 
@@ -708,11 +724,7 @@ buildSplitConvBackwardPlan(int64_t n, int64_t c, int64_t ih,
     const int64_t acc_floats = krows * oc + oc;
     for (int64_t in = 0; in < n; ++in) {
         ParallelRegion acc;
-        {
-            std::ostringstream os;
-            os << "wgrad_acc:img" << in;
-            acc.name = os.str();
-        }
+        acc.name = "wgrad_acc:img" + std::to_string(in);
         acc.size = acc_floats;
         acc.ordered_accum = true;
         plan.regions.push_back(acc);
@@ -722,143 +734,73 @@ buildSplitConvBackwardPlan(int64_t n, int64_t c, int64_t ih,
     const std::vector<SplitBandItem> bands =
         splitConvBandItems(scheme.h);
     const int64_t n_bands = static_cast<int64_t>(bands.size());
-    int64_t max_band_rows = 0;
-    for (const SplitBandItem &b : bands)
-        max_band_rows = std::max(max_band_rows, b.oy1 - b.oy0);
-    const int64_t max_band_cols = max_band_rows * out_w;
-    // Staged columns + gradient columns + the three per-band packs.
-    const int64_t arena_floats =
-        2 * krows * max_band_cols +
-        gemmPackedASize(krows, max_band_cols) +
-        gemmPackedBSize(max_band_cols, oc) +
-        gemmPackedBSize(oc, max_band_cols);
+    const int64_t image_cols = splitConvImageCols(scheme, false);
 
-    // Band items. A worker owns a whole image and runs its bands
+    // wgrad band items. A worker owns a whole image and runs its bands
     // serially ascending; epoch encodes that per-image program order
-    // (overlapping grad_x / wgrad_acc writes are intra-image only, so
-    // cross-image same-epoch pairs never constrain).
-    for (int64_t i = 0; i < n * n_bands; ++i) {
-        const int64_t in = i / n_bands;
-        const int64_t bi = i % n_bands;
-        const SplitBandItem &band = bands[static_cast<size_t>(bi)];
-        const SplitPiece1d &ph =
-            scheme.h.pieces[static_cast<size_t>(band.hi)];
+    // (overlapping wgrad_acc writes are intra-image only, so
+    // cross-image same-epoch pairs never constrain). Staging: the
+    // band's columns and its two packs.
+    const int64_t wgrad_arena =
+        krows * image_cols + gemmPackedASize(krows, image_cols) +
+        gemmPackedBSize(image_cols, oc);
+    for (int64_t in = 0; in < n; ++in)
+        for (int64_t bi = 0; bi < n_bands; ++bi) {
+            const SplitBandItem &band = bands[static_cast<size_t>(bi)];
+            const SplitPiece1d &ph =
+                scheme.h.pieces[static_cast<size_t>(band.hi)];
+            ParallelItem item;
+            item.name = imagesName(in, in + 1) + ":wgrad" +
+                        std::to_string(band.hi) + "." +
+                        std::to_string(band.oy0);
+            item.epoch = bi;
+            item.seq = static_cast<int64_t>(plan.items.size());
 
-        ParallelRegion arena;
-        {
-            std::ostringstream os;
-            os << "arena:" << i;
-            arena.name = os.str();
-        }
-        arena.size = arena_floats;
-        arena.owner = i;
-        plan.regions.push_back(arena);
-        const int arena_region =
-            static_cast<int>(plan.regions.size()) - 1;
-
-        ParallelItem item;
-        {
-            std::ostringstream os;
-            os << "img" << in << ":band" << band.hi << "."
-               << band.oy0;
-            item.name = os.str();
-        }
-        item.epoch = bi;
-        item.seq = i;
-
-        for (int wi = 0; wi < scheme.w.parts(); ++wi) {
-            const SplitPiece1d &pw =
-                scheme.w.pieces[static_cast<size_t>(wi)];
-            const Window2d local =
-                patchWindow(win, scheme, band.hi, wi);
-
-            // dgrad scatter: the band-restricted write hull
-            // col2imViewStrided claims — patch rows [iy_lo, iy_hi)
-            // reachable from output rows [oy0, oy1), channel 0's
-            // first float through channel c-1's last.
-            const int64_t iy_lo = std::max<int64_t>(
-                0, band.oy0 * local.sh - local.ph_b);
-            const int64_t iy_hi = std::min<int64_t>(
-                ph.inLen(),
-                (band.oy1 - 1) * local.sh - local.ph_b + local.kh);
-            if (iy_lo < iy_hi) {
-                ParallelAccess wgx;
-                wgx.region = 0;
-                wgx.write = true;
-                wgx.span = StridedSpan::interval(
-                    in * c * ih * iw +
-                        (ph.in_start + iy_lo) * iw + pw.in_start,
-                    (c - 1) * ih * iw + (iy_hi - 1 - iy_lo) * iw +
-                        pw.inLen());
-                item.accesses.push_back(wgx);
+            // Column staging reads the same input hulls the forward
+            // band reads.
+            for (const SplitPiece1d &pw : scheme.w.pieces) {
+                ParallelAccess rin;
+                rin.region = 2;
+                rin.span = patchInputHull(in, c, ih, iw, ph, pw);
+                item.accesses.push_back(rin);
             }
 
-            // wgrad staging reads the same input hull the forward
-            // band reads.
-            ParallelAccess rin;
-            rin.region = 2;
-            const int64_t first = ph.in_start * iw + pw.in_start;
-            const int64_t last = (c - 1) * ih * iw +
-                                 (ph.in_start + ph.inLen() - 1) * iw +
-                                 pw.in_start + pw.inLen();
-            rin.span = StridedSpan::interval(
-                in * c * ih * iw + first, last - first);
-            item.accesses.push_back(rin);
+            // The band's grad_out rows of every output channel at the
+            // parent channel stride.
+            ParallelAccess rgo;
+            rgo.region = 1;
+            rgo.span = {in * oc * ospatial +
+                            (ph.out_start + band.oy0) * out_w,
+                        oc, ospatial, 1, 0,
+                        (band.oy1 - band.oy0) * out_w};
+            item.accesses.push_back(rgo);
+
+            // The band chains the image's wgrad partial (beta = 1).
+            ParallelAccess wacc;
+            wacc.region = static_cast<int>(acc_region0 + in);
+            wacc.write = true;
+            wacc.span = StridedSpan::interval(0, krows * oc);
+            item.accesses.push_back(wacc);
+            ParallelAccess racc = wacc;
+            racc.write = false;
+            item.accesses.push_back(racc);
+
+            addOwnedArena(plan, item, wgrad_arena);
+            plan.items.push_back(std::move(item));
         }
-
-        // Both gradient GEMMs read the band's grad_out rows of every
-        // output channel at the parent channel stride.
-        ParallelAccess rgo;
-        rgo.region = 1;
-        rgo.span = {in * oc * out_h * out_w +
-                        (ph.out_start + band.oy0) * out_w,
-                    oc, out_h * out_w, 1, 0,
-                    (band.oy1 - band.oy0) * out_w};
-        item.accesses.push_back(rgo);
-
-        ParallelAccess rw_panels;
-        rw_panels.region = 3;
-        rw_panels.span = StridedSpan::interval(0, panel_floats);
-        item.accesses.push_back(rw_panels);
-
-        // The band chains the image's wgrad partial (beta = 1).
-        ParallelAccess wacc;
-        wacc.region = static_cast<int>(acc_region0 + in);
-        wacc.write = true;
-        wacc.span = StridedSpan::interval(0, krows * oc);
-        item.accesses.push_back(wacc);
-        ParallelAccess racc = wacc;
-        racc.write = false;
-        item.accesses.push_back(racc);
-
-        ParallelAccess warena;
-        warena.region = arena_region;
-        warena.write = true;
-        warena.span = StridedSpan::interval(0, arena_floats);
-        item.accesses.push_back(warena);
-        ParallelAccess rarena = warena;
-        rarena.write = false;
-        item.accesses.push_back(rarena);
-
-        plan.items.push_back(std::move(item));
-    }
 
     // Per-image bias item: row sums over the whole grad_out image
     // into the partial accumulator's tail, after the image's bands.
     for (int64_t in = 0; in < n; ++in) {
         ParallelItem item;
-        {
-            std::ostringstream os;
-            os << "img" << in << ":bias";
-            item.name = os.str();
-        }
+        item.name = imagesName(in, in + 1) + ":bias";
         item.epoch = n_bands;
         item.seq = n * n_bands + in;
 
         ParallelAccess rgo;
         rgo.region = 1;
-        rgo.span = StridedSpan::interval(
-            in * oc * out_h * out_w, oc * out_h * out_w);
+        rgo.span = StridedSpan::interval(in * oc * ospatial,
+                                         oc * ospatial);
         item.accesses.push_back(rgo);
 
         ParallelAccess wacc;
@@ -874,11 +816,7 @@ buildSplitConvBackwardPlan(int64_t n, int64_t c, int64_t ih,
     // each wave — folds the partial into the shared grad_w / grad_b.
     for (int64_t in = 0; in < n; ++in) {
         ParallelItem item;
-        {
-            std::ostringstream os;
-            os << "img" << in << ":reduce";
-            item.name = os.str();
-        }
+        item.name = imagesName(in, in + 1) + ":reduce";
         item.epoch = n_bands + 1 + in;
         item.seq = n * n_bands + n + in;
 
@@ -907,6 +845,79 @@ buildSplitConvBackwardPlan(int64_t n, int64_t c, int64_t ih,
 
         plan.items.push_back(std::move(item));
     }
+
+    // dgrad band items, after the wgrad phase's barrier. A worker owns
+    // an image group and runs its bands serially ascending, which
+    // epoch/seq encode (overlapping grad_x scatters are intra-image,
+    // hence intra-group). Staging: the gradient columns, the packed
+    // grad_out rows and — for groups — their side-by-side copy.
+    const std::vector<SplitImageGroup> groups =
+        splitConvImageGroups(n, image_cols);
+    const int64_t group_size = groups.empty() ? 1 : groups[0].n1;
+    const int64_t max_item_cols = group_size * image_cols;
+    const int64_t dgrad_arena =
+        krows * max_item_cols + gemmPackedBSize(oc, max_item_cols) +
+        (group_size > 1 ? oc * max_item_cols : 0);
+    const int64_t dgrad_epoch0 = n_bands + 1 + n;
+    for (const SplitImageGroup &grp : groups)
+        for (int64_t bi = 0; bi < n_bands; ++bi) {
+            const SplitBandItem &band = bands[static_cast<size_t>(bi)];
+            const SplitPiece1d &ph =
+                scheme.h.pieces[static_cast<size_t>(band.hi)];
+            ParallelItem item;
+            item.name = imagesName(grp.n0, grp.n1) + ":dgrad" +
+                        std::to_string(band.hi) + "." +
+                        std::to_string(band.oy0);
+            item.epoch = dgrad_epoch0 + bi;
+            item.seq = static_cast<int64_t>(plan.items.size());
+
+            // dgrad scatter: the band-restricted write hull
+            // col2imViewStrided claims — patch rows [iy_lo, iy_hi)
+            // reachable from output rows [oy0, oy1), channel 0's
+            // first float through channel c-1's last — of every width
+            // patch of every image in the group.
+            for (int64_t in = grp.n0; in < grp.n1; ++in)
+                for (int wi = 0; wi < scheme.w.parts(); ++wi) {
+                    const SplitPiece1d &pw =
+                        scheme.w.pieces[static_cast<size_t>(wi)];
+                    const Window2d local =
+                        patchWindow(win, scheme, band.hi, wi);
+                    const int64_t iy_lo = std::max<int64_t>(
+                        0, band.oy0 * local.sh - local.ph_b);
+                    const int64_t iy_hi = std::min<int64_t>(
+                        ph.inLen(), (band.oy1 - 1) * local.sh -
+                                        local.ph_b + local.kh);
+                    if (iy_lo >= iy_hi)
+                        continue;
+                    ParallelAccess wgx;
+                    wgx.region = 0;
+                    wgx.write = true;
+                    wgx.span = StridedSpan::interval(
+                        in * c * ih * iw + (ph.in_start + iy_lo) * iw +
+                            pw.in_start,
+                        (c - 1) * ih * iw + (iy_hi - 1 - iy_lo) * iw +
+                            pw.inLen());
+                    item.accesses.push_back(wgx);
+                }
+
+            // The group's grad_out band rows: image stride = oc
+            // channel strides, so one run at the channel stride.
+            ParallelAccess rgo;
+            rgo.region = 1;
+            rgo.span = {grp.n0 * oc * ospatial +
+                            (ph.out_start + band.oy0) * out_w,
+                        (grp.n1 - grp.n0) * oc, ospatial, 1, 0,
+                        (band.oy1 - band.oy0) * out_w};
+            item.accesses.push_back(rgo);
+
+            ParallelAccess rw_panels;
+            rw_panels.region = 3;
+            rw_panels.span = StridedSpan::interval(0, panel_floats);
+            item.accesses.push_back(rw_panels);
+
+            addOwnedArena(plan, item, dgrad_arena);
+            plan.items.push_back(std::move(item));
+        }
     return plan;
 }
 
@@ -1139,16 +1150,30 @@ analyzeParallelExecution(const Graph &graph, int splits_h,
                                  InputSplitPolicy::Center,
                                  /*allow_downsample=*/true);
 
-        // Two images suffice: image footprints are identical
-        // translates at stride channels*H*W, so disjointness between
-        // images 0 and 1 proves it for every pair.
-        const int64_t n_model = std::min<int64_t>(batch, 2);
+        // Two images (pools) or two image groups (convs) suffice:
+        // their footprints are identical translates, so disjointness
+        // between the first two proves it for every pair. The conv
+        // kernel is resolved as ConvKernel::Auto does.
+        const int64_t oc = oshape.dim(1);
+        const bool winograd =
+            splitConvUsesWinograd(ConvKernel::Auto, n.win, c, oc);
+        auto twoGroups = [&](bool wino) {
+            const std::vector<SplitImageGroup> groups =
+                splitConvImageGroups(batch,
+                                     splitConvImageCols(scheme, wino));
+            return std::min<int64_t>(
+                batch, 2 * (groups.empty() ? 1 : groups[0].n1));
+        };
+        const bool conv = n.kind == OpKind::Conv2d;
+        const int64_t n_model =
+            conv ? twoGroups(winograd) : std::min<int64_t>(batch, 2);
+        const int64_t n_model_bwd =
+            conv ? twoGroups(false) : n_model;
         ParallelPlan plan =
-            n.kind == OpKind::Conv2d
-                ? buildSplitConvPlan(n_model, c, ih, iw,
-                                     oshape.dim(1), n.win, scheme)
-                : buildSplitPoolPlan(n_model, c, ih, iw, n.win,
-                                     scheme);
+            conv ? buildSplitConvPlan(n_model, c, ih, iw, oc, n.win,
+                                      scheme, winograd)
+                 : buildSplitPoolPlan(n_model, c, ih, iw, n.win,
+                                      scheme);
         {
             std::ostringstream os;
             os << plan.name << ":" << n.name << "[" << hp << "x"
@@ -1162,12 +1187,10 @@ analyzeParallelExecution(const Graph &graph, int splits_h,
         // patches, legal only under the ordered-accumulation
         // discipline (SA609).
         ParallelPlan bplan =
-            n.kind == OpKind::Conv2d
-                ? buildSplitConvBackwardPlan(n_model, c, ih, iw,
-                                             oshape.dim(1), n.win,
-                                             scheme)
-                : buildSplitPoolBackwardPlan(n_model, c, ih, iw,
-                                             n.win, scheme);
+            conv ? buildSplitConvBackwardPlan(n_model_bwd, c, ih, iw,
+                                              oc, n.win, scheme)
+                 : buildSplitPoolBackwardPlan(n_model_bwd, c, ih, iw,
+                                              n.win, scheme);
         {
             std::ostringstream os;
             os << bplan.name << ":" << n.name << "[" << hp << "x"

@@ -37,17 +37,19 @@
  *
  * The builders mirror the engine's parallel surfaces (forward and
  * backward). They derive the decomposition from the same shared
- * helpers the kernels use (splitConvBandItems,
+ * helpers the kernels use (splitConvBandItems, splitConvImageGroups,
  * computeExecutionWaves), so the model cannot silently diverge from
  * the code it describes:
  *
- *  - buildSplitConvPlan: splitConv2dForward's image x row-band
- *    items. A band writes output rows [out_start+oy0, out_start+oy1)
- *    of every output channel at the parent channel stride (one span
- *    {base, n1=oc, s1=oh*ow, len=rows*ow} per item), reads the halo
- *    rectangles of every width patch, shares the packed weight
+ *  - buildSplitConvPlan: splitConv2dForward's image-group x row-band
+ *    items (splitConvImageGroups). A band writes output rows
+ *    [out_start+oy0, out_start+oy1) of every output channel of every
+ *    image in its group at the parent channel stride (one span
+ *    {base, n1=images*oc, s1=oh*ow, len=rows*ow} per item, since the
+ *    image stride is oc channel strides), reads the halo rectangles
+ *    of every width patch of those images, shares the packed weight
  *    panels read-only, and owns a private scratch-arena region for
- *    its staged columns.
+ *    its staging.
  *  - buildSplitPoolPlan: the image x patch items of the split pool
  *    paths; a patch writes the block
  *    [out_start_h, out_end_h) x [out_start_w, out_end_w) of every
@@ -138,7 +140,8 @@ struct ParallelRegion
      * writes are *expected* (halo rows, shared weight gradients) but
      * must come from distinct epochs whose order agrees with serial
      * (seq) order — checked as SA609. Epochs here encode per-worker
-     * serial program order (a worker owns all of an image's items),
+     * serial program order (a worker owns all of an image's, or an
+     * image group's, items),
      * not global barriers; only overlapping pairs are constrained,
      * and overlaps are intra-image by construction. */
     bool ordered_accum = false;
@@ -169,16 +172,18 @@ std::vector<Diagnostic> analyzeParallelPlan(const ParallelPlan &plan);
 
 /**
  * Model splitConv2dForward for @p n images of a C x ih x iw
- * input under @p scheme. The footprints cover both kernel choices:
- * the im2col and Winograd paths write identical band regions, and
- * reads are modeled as each patch's halo rectangle (a conservative
- * contiguous hull per patch — exactly what the shadow recorder
- * logs).
+ * input under @p scheme, running Winograd when @p winograd. The
+ * kernel sets the image groups (Winograd groups by tiles, im2col by
+ * output columns), the panel size and the staging; both kernels
+ * write identical band regions, and reads are modeled as each
+ * patch's halo rectangle (a conservative contiguous hull per patch —
+ * exactly what the shadow recorder logs).
  */
 ParallelPlan buildSplitConvPlan(int64_t n, int64_t c, int64_t ih,
                                 int64_t iw, int64_t oc,
                                 const Window2d &win,
-                                const SplitScheme2d &scheme);
+                                const SplitScheme2d &scheme,
+                                bool winograd = false);
 
 /** Model the split-pool forwards (image x patch items). */
 ParallelPlan buildSplitPoolPlan(int64_t n, int64_t c, int64_t ih,
@@ -186,17 +191,21 @@ ParallelPlan buildSplitPoolPlan(int64_t n, int64_t c, int64_t ih,
                                 const SplitScheme2d &scheme);
 
 /**
- * Model splitConv2dBackward: images fan out across workers, and
- * a worker runs its image's row-band items serially ascending — so
- * the plan's epochs encode that per-image serial order. Per band:
- * grad_x scatter hulls (band-restricted, mirroring col2imViewStrided)
- * land in the `ordered_accum` grad_x region, grad_out band rows and
- * patch input hulls are read, the dgrad (W^T) panels are
- * shared read-only, and the per-image wgrad/bias partial accumulator
- * chains bands under the same ordered discipline. A per-image bias
- * item then reduces grad_out rows, and a per-image reduction item —
- * serialized in image order after each wave — folds the partial into
- * the shared grad_w / grad_b regions (both `ordered_accum`).
+ * Model splitConv2dBackward's two phases. wgrad: images fan out
+ * across workers, and a worker runs its image's row-band items
+ * serially ascending — so the plan's epochs encode that per-image
+ * serial order. Per band, grad_out band rows and patch input hulls
+ * are read and the per-image wgrad/bias partial accumulator chains
+ * bands under the ordered discipline. A per-image bias item then
+ * reduces grad_out rows, and a per-image reduction item — serialized
+ * in image order after each wave — folds the partial into the shared
+ * grad_w / grad_b regions (both `ordered_accum`). dgrad: image groups
+ * (splitConvImageGroups over output columns) fan out, a worker runs
+ * its group's bands serially ascending; per band, the group's
+ * grad_out rows are read, the W^T panels are shared read-only, and
+ * the grad_x scatter hulls (band-restricted, mirroring
+ * col2imViewStrided) of every image in the group land in the
+ * `ordered_accum` grad_x region.
  */
 ParallelPlan buildSplitConvBackwardPlan(int64_t n, int64_t c,
                                         int64_t ih, int64_t iw,
@@ -227,10 +236,11 @@ ParallelPlan buildExecutorWavePlan(const Graph &graph, bool training);
  * (training mode — the superset of the inference-mode model) plus a
  * split plan for every Conv2d / MaxPool2d / AvgPool2d node at an
  * (at most) @p splits_h x @p splits_w even split grid, clamped per
- * node to its output extents. Batch is modeled as min(n, 2) images:
- * image footprints are identical translates at stride
- * channels*H*W, so two suffice to prove inter-image disjointness
- * for any batch.
+ * node to its output extents. Pool batches are modeled as min(n, 2)
+ * images and conv batches as the first two image groups (the whole
+ * batch when it is one group): image and full-group footprints are
+ * identical translates, so two suffice to prove inter-image and
+ * inter-group disjointness for any batch.
  */
 std::vector<Diagnostic> analyzeParallelExecution(const Graph &graph,
                                                  int splits_h,

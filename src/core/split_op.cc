@@ -73,25 +73,30 @@ unsplitScheme(const Window2d &win, int64_t ih, int64_t iw)
 //
 // Patches are views into the parent: no pad2d copy, no per-patch
 // output tensor, no concat. A conv work item is an output-row *band*
-// of one patch-row group (all patches sharing a split-H piece): every
-// patch stages its halo-aware im2col columns into one shared column
-// matrix whose columns are ordered by parent output position
-// (im2colViewStrided with col_ld = the band's full column count,
-// row_step = the parent output width), the matrix is packed into B
-// panels once (gemmPackB) and consumed across every output-channel
-// block (gemmPackedAB), and C is the parent output itself (ldc = the
-// parent channel stride) — the GEMM runs at the unsplit
-// convolution's shape. The unsplit op is the one-piece scheme, so it
-// runs exactly this code.
+// of one patch-row group (all patches sharing a split-H piece) for
+// one *image group*: every patch of every image stages its halo-aware
+// im2col columns into one shared column matrix, image-major and then
+// ordered by parent output position (im2colViewStrided with col_ld =
+// the item's full column count, row_step = the parent output width),
+// the matrix is packed into B panels once (gemmPackB) and consumed
+// across every output-channel block (gemmPackedAB). A one-image item
+// writes C straight into the parent output (ldc = the parent channel
+// stride) — the GEMM runs at the unsplit convolution's shape; a group
+// GEMMs into a staging block and copies each image's columns out.
+// Groups exist for small patches: a band of 1-4 columns per image
+// would otherwise run a 16-wide microtile almost empty, once per
+// image. The unsplit op is the one-piece scheme, so it runs exactly
+// this code.
 //
 // Determinism: the work list is a function of shapes alone (the row
-// band is a fixed constant), every item writes a disjoint output
-// region, and each item's arithmetic is scheduling-independent — so
-// outputs are bitwise identical for any thread count. Under the
-// scalar microkernel each output element accumulates k ascending
-// from a zeroed start, exactly like a naive GEMM over a materialized
-// patch's im2col matrix, so split and materialized execution produce
-// identical bytes.
+// band and the group column target are fixed constants), every item
+// writes a disjoint output region, and each item's arithmetic is
+// scheduling-independent — so outputs are bitwise identical for any
+// thread count. Every output element accumulates k ascending from a
+// zeroed start through the same microkernel sequence whatever the
+// GEMM's N (edge tiles run the full tile on a padded copy), so
+// grouping never changes a bit, and under the scalar microkernel
+// split and materialized execution produce identical bytes.
 // ---------------------------------------------------------------------------
 
 std::vector<SplitBandItem>
@@ -108,6 +113,42 @@ splitConvBandItems(const SplitScheme1d &h)
         }
     }
     return bands;
+}
+
+std::vector<SplitImageGroup>
+splitConvImageGroups(int64_t n, int64_t cols_per_image)
+{
+    SCNN_CHECK(cols_per_image > 0, "conv band has no columns");
+    const int64_t g = std::clamp<int64_t>(
+        (kSplitConvGroupCols + cols_per_image - 1) / cols_per_image, 1,
+        std::max<int64_t>(n, 1));
+    std::vector<SplitImageGroup> groups;
+    for (int64_t n0 = 0; n0 < n; n0 += g)
+        groups.push_back({n0, std::min(n, n0 + g)});
+    return groups;
+}
+
+int64_t
+splitConvImageCols(const SplitScheme2d &scheme, bool winograd)
+{
+    int64_t rows = 0;
+    for (const SplitPiece1d &ph : scheme.h.pieces)
+        rows = std::max(rows, std::min(ph.outLen(), kSplitConvRowBand));
+    if (!winograd)
+        return rows * scheme.w.pieces.back().out_end;
+    int64_t tiles_x = 0;
+    for (const SplitPiece1d &pw : scheme.w.pieces)
+        tiles_x += (pw.outLen() + 1) / 2;
+    return (rows + 1) / 2 * tiles_x;
+}
+
+bool
+splitConvUsesWinograd(ConvKernel kernel, const Window2d &win, int64_t c,
+                      int64_t oc)
+{
+    return kernel == ConvKernel::Winograd ||
+           (kernel == ConvKernel::Auto && winogradApplicable(win) &&
+            winogradCostModelWins(c, oc));
 }
 
 namespace {
@@ -227,10 +268,11 @@ winogradCache()
 }
 
 /** Debug hook shared by the dispatchers: statically prove the
- * decomposition race-free before running it. Batch is modeled as
- * min(n, 2) images — image footprints are identical translates, so
- * two prove every inter-image pair (same convention as
- * analyzeParallelExecution). */
+ * decomposition race-free before running it. Pools model min(n, 2)
+ * images and convs the first two image groups (lintConvImages) —
+ * footprints of images and of full groups are identical translates,
+ * so two prove every inter-image and inter-group pair (same
+ * convention as analyzeParallelExecution). */
 void
 lintSplitPlan(const ParallelPlan &plan, const char *what)
 {
@@ -240,6 +282,17 @@ lintSplitPlan(const ParallelPlan &plan, const char *what)
                                         << " finding(s) in " << what
                                         << "; first: "
                                         << diags.front().toString());
+}
+
+/** Images the conv lint models: through the end of the second image
+ * group (the whole batch when it is one group, or when the second
+ * group is the ragged last one). */
+int64_t
+lintConvImages(const std::vector<SplitImageGroup> &groups)
+{
+    if (groups.empty())
+        return 0;
+    return groups[std::min<size_t>(groups.size(), 2) - 1].n1;
 }
 
 /** Post-run shadow-access check: any escape is an analyzer bug. */
@@ -314,21 +367,15 @@ splitConv2dForward(const Tensor &x, const Tensor &weight,
     const int64_t ih = x.shape().dim(2);
     const int64_t iw = x.shape().dim(3);
     const int64_t oc = weight.shape().dim(0);
-    const bool use_winograd =
-        kernel == ConvKernel::Winograd ||
-        (kernel == ConvKernel::Auto && winogradApplicable(win) &&
-         winogradCostModelWins(c, oc));
+    const bool use_winograd = splitConvUsesWinograd(kernel, win, c, oc);
     SCNN_REQUIRE(!use_winograd || winogradApplicable(win),
                  "winograd needs a 3x3 stride-1 window, got "
                      << win.toString());
     checkSchemeGeometry(win, scheme);
-    if (lintParallelEnabled())
-        lintSplitPlan(buildSplitConvPlan(std::min<int64_t>(n, 2), c, ih,
-                                         iw, oc, win, scheme),
-                      "split conv");
 
     const int64_t out_h = scheme.h.pieces.back().out_end;
     const int64_t out_w = scheme.w.pieces.back().out_end;
+    const int64_t ospatial = out_h * out_w;
     const int64_t krows = c * win.kh * win.kw;
     const bool has_bias = bias.numel() > 0;
     if (has_bias)
@@ -336,9 +383,14 @@ splitConv2dForward(const Tensor &x, const Tensor &weight,
 
     const std::vector<SplitBandItem> bands =
         splitConvBandItems(scheme.h);
-    int64_t max_band_rows = 0;
-    for (const SplitBandItem &b : bands)
-        max_band_rows = std::max(max_band_rows, b.oy1 - b.oy0);
+    const int64_t image_cols = splitConvImageCols(scheme, use_winograd);
+    const std::vector<SplitImageGroup> groups =
+        splitConvImageGroups(n, image_cols);
+    if (lintParallelEnabled())
+        lintSplitPlan(buildSplitConvPlan(lintConvImages(groups), c, ih,
+                                         iw, oc, win, scheme,
+                                         use_winograd),
+                      "split conv");
 
     // The weight operand, shared read-only by every worker: GEMM A
     // panels packed into the caller's arena, or the cached Winograd U.
@@ -361,92 +413,119 @@ splitConv2dForward(const Tensor &x, const Tensor &weight,
     Tensor out = Tensor::uninitialized(Shape{n, oc, out_h, out_w});
     const float *bias_ptr = has_bias ? bias.data() : nullptr;
     const int64_t n_bands = static_cast<int64_t>(bands.size());
-    const int64_t max_band_cols = max_band_rows * out_w;
+    const int64_t n_groups = static_cast<int64_t>(groups.size());
+    const int64_t group_size = n_groups > 0 ? groups[0].n1 : 1;
+    const int64_t max_item_cols = group_size * image_cols;
 
     // Shadow-access validation (SCNN_SHADOW_ACCESS=1): model this
     // exact execution and, after the parallel section, check every
     // claim the kernels recorded against the static prediction.
     std::unique_ptr<ShadowSession> shadow;
     if (shadowAccessEnabled()) {
-        shadow = std::make_unique<ShadowSession>(
-            buildSplitConvPlan(n, c, ih, iw, oc, win, scheme));
+        shadow = std::make_unique<ShadowSession>(buildSplitConvPlan(
+            n, c, ih, iw, oc, win, scheme, use_winograd));
         shadow->bind("output", out.data());
         shadow->bind("input", x.data());
         shadow->bind("weight_panels", panels);
     }
 
-    globalPool().parallelFor(n * n_bands, [&](int64_t begin,
-                                              int64_t end) {
+    globalPool().parallelFor(n_groups * n_bands, [&](int64_t begin,
+                                                     int64_t end) {
         auto &warena = ScratchArena::tls();
         auto wguard = warena.scope();
         float *col = nullptr;
         float *pb = nullptr;
+        float *cstage = nullptr;
         if (!use_winograd) {
-            col = warena.alloc(krows * max_band_cols);
-            pb = warena.alloc(gemmPackedBSize(krows, max_band_cols));
+            col = warena.alloc(krows * max_item_cols);
+            pb = warena.alloc(gemmPackedBSize(krows, max_item_cols));
+            if (group_size > 1)
+                cstage = warena.alloc(oc * max_item_cols);
         }
+        std::vector<WinogradPatch> wpatches;
         const Microkernel &uk = activeMicrokernel();
         for (int64_t i = begin; i < end; ++i) {
-            const int64_t in = i / n_bands;
+            const SplitImageGroup &grp =
+                groups[static_cast<size_t>(i / n_bands)];
             const SplitBandItem &band =
                 bands[static_cast<size_t>(i % n_bands)];
             const SplitPiece1d &ph = scheme.h.pieces[band.hi];
-            const float *img = x.data() + in * c * ih * iw;
-            float *out_img = out.data() + in * oc * out_h * out_w;
+            const int64_t gn = grp.n1 - grp.n0;
+            const int64_t nb = (band.oy1 - band.oy0) * out_w;
+            // The band's rows of image n0; image j of the group sits
+            // j * oc * ospatial further on.
+            float *out0 = out.data() + grp.n0 * oc * ospatial +
+                          (ph.out_start + band.oy0) * out_w;
 
             if (shadow) {
                 shadow->setItem(i);
-                // The band's whole output claim (both kernel paths
-                // write exactly these rows of every channel) and its
+                // The item's whole output claim (both kernel paths
+                // write exactly these rows of every channel of every
+                // image; image stride = oc channel strides) and its
                 // shared read of the packed panels. Input halo reads
                 // are recorded inside the patch kernels.
-                shadowRecordSpan(
-                    out_img + (ph.out_start + band.oy0) * out_w,
-                    {0, oc, out_h * out_w, 1, 0,
-                     (band.oy1 - band.oy0) * out_w},
-                    true);
+                shadowRecordSpan(out0, {0, gn * oc, ospatial, 1, 0, nb},
+                                 true);
                 shadowRecord(panels, panel_floats, false);
             }
 
             if (use_winograd) {
-                for (int wi = 0; wi < scheme.w.parts(); ++wi) {
-                    const SplitPiece1d &pw = scheme.w.pieces[wi];
-                    const PatchView view{ph.in_start, pw.in_start,
-                                         ph.inLen(), pw.inLen()};
-                    conv2dWinogradPatch(
-                        img, c, ih, iw, view,
-                        patchWindow(win, scheme, band.hi, wi), panels,
-                        oc, bias_ptr, band.oy0 / 2, (band.oy1 + 1) / 2,
-                        out_img, out_h, out_w, ph.out_start,
-                        pw.out_start);
-                }
+                wpatches.clear();
+                for (int64_t in = grp.n0; in < grp.n1; ++in)
+                    for (int wi = 0; wi < scheme.w.parts(); ++wi) {
+                        const SplitPiece1d &pw = scheme.w.pieces[wi];
+                        wpatches.push_back(
+                            {x.data() + in * c * ih * iw,
+                             {ph.in_start, pw.in_start, ph.inLen(),
+                              pw.inLen()},
+                             patchWindow(win, scheme, band.hi, wi),
+                             out.data() + in * oc * ospatial,
+                             ph.out_start,
+                             pw.out_start});
+                    }
+                conv2dWinogradPatches(
+                    wpatches.data(),
+                    static_cast<int64_t>(wpatches.size()), c, ih, iw,
+                    panels, oc, bias_ptr, band.oy0 / 2,
+                    (band.oy1 + 1) / 2, out_h, out_w);
                 continue;
             }
 
             // Stage every patch's columns of this band into the
-            // shared column matrix, ordered by parent output
-            // position: window-element row r of output (oy, ox_glob)
-            // sits at col[r*nb + (oy - oy0)*out_w + ox_glob].
-            const int64_t nb = (band.oy1 - band.oy0) * out_w;
-            for (int wi = 0; wi < scheme.w.parts(); ++wi) {
-                const SplitPiece1d &pw = scheme.w.pieces[wi];
-                const PatchView view{ph.in_start, pw.in_start,
-                                     ph.inLen(), pw.inLen()};
-                im2colViewStrided(
-                    img, c, ih, iw, view,
-                    patchWindow(win, scheme, band.hi, wi), band.oy0,
-                    band.oy1, col + pw.out_start, nb, out_w);
+            // shared column matrix, image-major and then ordered by
+            // parent output position: window-element row r of image
+            // j's output (oy, ox_glob) sits at
+            // col[r*ld + j*nb + (oy - oy0)*out_w + ox_glob].
+            const int64_t ld = gn * nb;
+            for (int64_t j = 0; j < gn; ++j) {
+                const float *img = x.data() + (grp.n0 + j) * c * ih * iw;
+                for (int wi = 0; wi < scheme.w.parts(); ++wi) {
+                    const SplitPiece1d &pw = scheme.w.pieces[wi];
+                    const PatchView view{ph.in_start, pw.in_start,
+                                         ph.inLen(), pw.inLen()};
+                    im2colViewStrided(
+                        img, c, ih, iw, view,
+                        patchWindow(win, scheme, band.hi, wi), band.oy0,
+                        band.oy1, col + j * nb + pw.out_start, ld,
+                        out_w);
+                }
             }
-            // One unsplit-shaped GEMM for the whole band: B panels
-            // packed once, consumed by every output-channel block, C
-            // written straight into the parent output.
-            gemmPackB(krows, nb, col, nb, pb);
-            float *cbase = out_img + (ph.out_start + band.oy0) * out_w;
-            const int64_t ldc = out_h * out_w;
-            gemmPackedAB(oc, nb, krows, panels, pb, 0.0f, cbase, ldc);
-            if (has_bias)
-                for (int64_t o = 0; o < oc; ++o)
-                    uk.addBiasRow(cbase + o * ldc, nb, bias_ptr[o]);
+            // One GEMM for the whole item: B panels packed once,
+            // consumed by every output-channel block. A single image
+            // writes C straight into the parent output; a group
+            // writes the staging block, copied out per image below.
+            gemmPackB(krows, ld, col, ld, pb);
+            gemmPackedAB(oc, ld, krows, panels, pb, 0.0f,
+                         gn == 1 ? out0 : cstage,
+                         gn == 1 ? ospatial : ld);
+            for (int64_t j = 0; j < gn; ++j)
+                for (int64_t o = 0; o < oc; ++o) {
+                    float *dst = out0 + (j * oc + o) * ospatial;
+                    if (gn > 1)
+                        uk.copyRow(dst, cstage + o * ld + j * nb, nb);
+                    if (has_bias)
+                        uk.addBiasRow(dst, nb, bias_ptr[o]);
+                }
         }
     });
     if (shadow)
@@ -557,23 +636,31 @@ splitAvgPool2dForward(const Tensor &x, const Window2d &win,
 // Split backward.
 //
 // The backward twin of the forward: gradient patches are PatchViews
-// into the parent tensors, never per-patch copies. Images fan out
-// across the pool in waves; a worker owns a whole image and runs its
-// row bands serially ascending, so every halo scatter-add into grad_x
-// happens in a fixed order (the SA609 ordered-accumulation contract)
-// and nothing races. Per band, every width patch stages its
-// halo-aware im2col columns into one shared column matrix ordered by
-// parent output position — exactly the forward staging — and the
-// matrix feeds *both* gradient GEMMs:
+// into the parent tensors, never per-patch copies. The two gradient
+// GEMMs share no operand but grad_out, so they run as two parallel
+// phases:
 //
-//   wgrad  gw_img[krows x oc] += packA(col) x packB(grad_out band^T)
+//   wgrad  images fan out across the pool in waves; a worker owns a
+//          whole image and runs its row bands serially ascending. Per
+//          band, every width patch stages its halo-aware im2col
+//          columns into one shared column matrix ordered by parent
+//          output position — exactly the forward staging — and
+//          gw_img[krows x oc] += packA(col) x packB(grad_out band^T)
 //          (grad_out^T packed straight from the parent tensor via
-//          gemmPackBStrided; beta = 1 chains the image's bands, and
-//          per-image partials reduce into grad_w serially in image
-//          order — bitwise-identical for any thread count),
-//   dgrad  gcol = packA(W^T) x packB(grad_out band), scattered into
-//          the parent grad_x through col2imViewStrided's hoisted
-//          flank bounds (W^T packed once per call).
+//          gemmPackBStrided; beta = 1 chains the image's bands).
+//          Per-image partials reduce into grad_w serially in image
+//          order — bitwise-identical for any thread count. Merging
+//          images into the GEMM's K would change that rounding, so
+//          wgrad stays per image.
+//   dgrad  image groups (the forward's splitConvImageGroups) fan out
+//          across the pool; a worker owns a group and runs its row
+//          bands serially ascending: gcol = packA(W^T) x packB(the
+//          group's grad_out band rows side by side), then each image's
+//          patches scatter their slice into the parent grad_x through
+//          col2imViewStrided (W^T packed once per call). Every grad_x
+//          element thus accumulates bands ascending, then patches
+//          ascending, whatever the grouping (the SA609
+//          ordered-accumulation contract).
 // ---------------------------------------------------------------------------
 
 void
@@ -589,11 +676,6 @@ splitConv2dBackward(const Tensor &x, const Tensor &weight,
     const int64_t ih = x.shape().dim(2);
     const int64_t iw = x.shape().dim(3);
     const int64_t oc = weight.shape().dim(0);
-    if (lintParallelEnabled())
-        lintSplitPlan(buildSplitConvBackwardPlan(
-                          std::min<int64_t>(n, 2), c, ih, iw, oc, win,
-                          scheme),
-                      "split conv backward");
 
     const int64_t out_h = scheme.h.pieces.back().out_end;
     const int64_t out_w = scheme.w.pieces.back().out_end;
@@ -613,10 +695,17 @@ splitConv2dBackward(const Tensor &x, const Tensor &weight,
     const std::vector<SplitBandItem> bands =
         splitConvBandItems(scheme.h);
     const int64_t n_bands = static_cast<int64_t>(bands.size());
-    int64_t max_band_rows = 0;
-    for (const SplitBandItem &b : bands)
-        max_band_rows = std::max(max_band_rows, b.oy1 - b.oy0);
-    const int64_t max_band_cols = max_band_rows * out_w;
+    const int64_t image_cols = splitConvImageCols(scheme, false);
+    const std::vector<SplitImageGroup> groups =
+        splitConvImageGroups(n, image_cols);
+    const int64_t n_groups = static_cast<int64_t>(groups.size());
+    const int64_t group_size = n_groups > 0 ? groups[0].n1 : 1;
+    const int64_t max_item_cols = group_size * image_cols;
+    if (lintParallelEnabled())
+        lintSplitPlan(buildSplitConvBackwardPlan(lintConvImages(groups),
+                                                 c, ih, iw, oc, win,
+                                                 scheme),
+                      "split conv backward");
 
     grad_x = Tensor(x.shape()); // zero: halo scatters accumulate
 
@@ -633,6 +722,12 @@ splitConv2dBackward(const Tensor &x, const Tensor &weight,
     float *gw_acc = arena.alloc(wave * krows * oc);
     float *gb_acc = has_bias ? arena.alloc(wave * oc) : nullptr;
 
+    // Shadow item ids follow buildSplitConvBackwardPlan: wgrad bands
+    // (image-major), bias rows, reductions, then dgrad bands
+    // (group-major).
+    const int64_t bias_item0 = n * n_bands;
+    const int64_t reduce_item0 = bias_item0 + n;
+    const int64_t dgrad_item0 = reduce_item0 + n;
     std::unique_ptr<ShadowSession> shadow;
     if (shadowAccessEnabled()) {
         shadow = std::make_unique<ShadowSession>(
@@ -646,24 +741,21 @@ splitConv2dBackward(const Tensor &x, const Tensor &weight,
             shadow->bind("grad_b", grad_b.data());
     }
 
+    // wgrad: one image per worker, bands ascending; the staging fits
+    // the widest band of one image.
     for (int64_t w0 = 0; w0 < n; w0 += wave) {
         const int64_t wn = std::min(wave, n - w0);
         globalPool().parallelFor(wn, [&](int64_t begin, int64_t end) {
             auto &warena = ScratchArena::tls();
             auto wguard = warena.scope();
-            float *col = warena.alloc(krows * max_band_cols);
-            float *gcol = warena.alloc(krows * max_band_cols);
+            float *col = warena.alloc(krows * image_cols);
             float *pa_col =
-                warena.alloc(gemmPackedASize(krows, max_band_cols));
-            float *pb_got =
-                warena.alloc(gemmPackedBSize(max_band_cols, oc));
-            float *pb_go =
-                warena.alloc(gemmPackedBSize(oc, max_band_cols));
+                warena.alloc(gemmPackedASize(krows, image_cols));
+            float *pb_got = warena.alloc(gemmPackedBSize(image_cols, oc));
             for (int64_t wi = begin; wi < end; ++wi) {
                 const int64_t in = w0 + wi;
                 const float *go = grad_out.data() + in * oc * ospatial;
                 const float *img = x.data() + in * c * ih * iw;
-                float *gx_img = grad_x.data() + in * c * ih * iw;
                 float *gw_img = gw_acc + wi * krows * oc;
                 for (int64_t bi = 0; bi < n_bands; ++bi) {
                     const SplitBandItem &band =
@@ -676,13 +768,11 @@ splitConv2dBackward(const Tensor &x, const Tensor &weight,
                     if (shadow) {
                         shadow->setItem(in * n_bands + bi);
                         // The band's grad_out rows of every output
-                        // channel and its shared panel read; input
-                        // reads and grad_x scatters are recorded
-                        // inside the view kernels.
+                        // channel; input reads are recorded inside
+                        // the view kernel.
                         shadowRecordSpan(go_band,
                                          {0, oc, ospatial, 1, 0, nb},
                                          false);
-                        shadowRecord(wt_panels, panel_floats, false);
                     }
                     for (int pi = 0; pi < scheme.w.parts(); ++pi) {
                         const SplitPiece1d &pw =
@@ -695,7 +785,7 @@ splitConv2dBackward(const Tensor &x, const Tensor &weight,
                             band.oy0, band.oy1, col + pw.out_start, nb,
                             out_w);
                     }
-                    // wgrad: gw_img (krows x oc, grad_w transposed)
+                    // gw_img (krows x oc, grad_w transposed)
                     // accumulates this band's columns x grad_out^T
                     // product; beta = 1 chains bands ascending.
                     gemmPackA(krows, nb, 1.0f, col, pa_col);
@@ -703,26 +793,11 @@ splitConv2dBackward(const Tensor &x, const Tensor &weight,
                                      /*cs=*/ospatial, pb_got);
                     gemmPackedAB(krows, oc, nb, pa_col, pb_got,
                                  bi == 0 ? 0.0f : 1.0f, gw_img, oc);
-                    // dgrad: gcol = W^T x grad_out band, scattered
-                    // per width patch in ascending order.
-                    gemmPackB(oc, nb, go_band, /*ldb=*/ospatial, pb_go);
-                    gemmPackedAB(krows, nb, oc, wt_panels, pb_go, 0.0f,
-                                 gcol, nb);
-                    for (int pi = 0; pi < scheme.w.parts(); ++pi) {
-                        const SplitPiece1d &pw =
-                            scheme.w.pieces[static_cast<size_t>(pi)];
-                        const PatchView view{ph.in_start, pw.in_start,
-                                             ph.inLen(), pw.inLen()};
-                        col2imViewStrided(
-                            gcol + pw.out_start, c, ih, iw, view,
-                            patchWindow(win, scheme, band.hi, pi),
-                            band.oy0, band.oy1, gx_img, nb, out_w);
-                    }
                 }
                 if (has_bias) {
                     float *gb = gb_acc + wi * oc;
                     if (shadow) {
-                        shadow->setItem(n * n_bands + in);
+                        shadow->setItem(bias_item0 + in);
                         shadowRecord(go, oc * ospatial, false);
                     }
                     std::fill(gb, gb + oc, 0.0f);
@@ -733,7 +808,7 @@ splitConv2dBackward(const Tensor &x, const Tensor &weight,
         for (int64_t wi = 0; wi < wn; ++wi) {
             const int64_t in = w0 + wi;
             if (shadow) {
-                shadow->setItem(n * n_bands + n + in);
+                shadow->setItem(reduce_item0 + in);
                 shadowRecord(grad_w.data(), oc * krows, true);
                 if (has_bias)
                     shadowRecord(grad_b.data(), oc, true);
@@ -751,6 +826,68 @@ splitConv2dBackward(const Tensor &x, const Tensor &weight,
             }
         }
     }
+
+    // dgrad: one image group per worker, bands ascending.
+    globalPool().parallelFor(n_groups, [&](int64_t begin, int64_t end) {
+        auto &warena = ScratchArena::tls();
+        auto wguard = warena.scope();
+        float *gcol = warena.alloc(krows * max_item_cols);
+        float *pb_go = warena.alloc(gemmPackedBSize(oc, max_item_cols));
+        float *go_stage =
+            group_size > 1 ? warena.alloc(oc * max_item_cols) : nullptr;
+        const Microkernel &uk = activeMicrokernel();
+        for (int64_t gi = begin; gi < end; ++gi) {
+            const SplitImageGroup &grp = groups[static_cast<size_t>(gi)];
+            const int64_t gn = grp.n1 - grp.n0;
+            for (int64_t bi = 0; bi < n_bands; ++bi) {
+                const SplitBandItem &band = bands[static_cast<size_t>(bi)];
+                const SplitPiece1d &ph =
+                    scheme.h.pieces[static_cast<size_t>(band.hi)];
+                const int64_t nb = (band.oy1 - band.oy0) * out_w;
+                const int64_t ld = gn * nb;
+                // The band's rows of image n0; image j of the group
+                // sits j * oc * ospatial further on.
+                const float *go0 = grad_out.data() +
+                                   grp.n0 * oc * ospatial +
+                                   (ph.out_start + band.oy0) * out_w;
+                if (shadow) {
+                    shadow->setItem(dgrad_item0 + gi * n_bands + bi);
+                    // The group's grad_out band rows and the shared
+                    // panel read; grad_x scatters are recorded inside
+                    // the view kernel.
+                    shadowRecordSpan(go0, {0, gn * oc, ospatial, 1, 0, nb},
+                                     false);
+                    shadowRecord(wt_panels, panel_floats, false);
+                }
+                // gcol = W^T x the group's grad_out band rows. One
+                // image packs straight from the parent tensor; a group
+                // first lines its images' rows up side by side.
+                if (gn > 1)
+                    for (int64_t j = 0; j < gn; ++j)
+                        for (int64_t o = 0; o < oc; ++o)
+                            uk.copyRow(go_stage + o * ld + j * nb,
+                                       go0 + (j * oc + o) * ospatial, nb);
+                gemmPackB(oc, ld, gn == 1 ? go0 : go_stage,
+                          gn == 1 ? ospatial : ld, pb_go);
+                gemmPackedAB(krows, ld, oc, wt_panels, pb_go, 0.0f, gcol,
+                             ld);
+                for (int64_t j = 0; j < gn; ++j) {
+                    float *gx_img =
+                        grad_x.data() + (grp.n0 + j) * c * ih * iw;
+                    for (int pi = 0; pi < scheme.w.parts(); ++pi) {
+                        const SplitPiece1d &pw =
+                            scheme.w.pieces[static_cast<size_t>(pi)];
+                        const PatchView view{ph.in_start, pw.in_start,
+                                             ph.inLen(), pw.inLen()};
+                        col2imViewStrided(
+                            gcol + j * nb + pw.out_start, c, ih, iw, view,
+                            patchWindow(win, scheme, band.hi, pi),
+                            band.oy0, band.oy1, gx_img, ld, out_w);
+                    }
+                }
+            }
+        }
+    });
     if (shadow)
         checkShadow(*shadow, "split conv backward");
 }

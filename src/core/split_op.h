@@ -87,9 +87,41 @@ struct SplitBandItem
 
 /** The flat per-image band list for an H split scheme: each piece's
  * output rows chopped into kSplitConvRowBand-row bands, in (hi, oy0)
- * order. The conv work item index is
- * image * bands.size() + band_index. */
+ * order. */
 std::vector<SplitBandItem> splitConvBandItems(const SplitScheme1d &h);
+
+/** GEMM columns a conv work item aims for. A band narrower than this
+ * per image — a small split patch, 1-4 output columns at the deep
+ * layers of a 2x2-split VGG — batches consecutive images into one
+ * GEMM until it reaches the target, so the packed weights are reused
+ * across the whole group instead of running a mostly-empty 16-wide
+ * microtile per image. Chosen with bench_kernels' small_spatial_conv
+ * section: its gemm_n_sweep (packed-GEMM throughput against N at the
+ * conv shapes) is flat from N = 16 on, and a larger target only grows
+ * a grouped item's staging (64 raised a train step's peak RSS).
+ * Fixed, so grouping — like banding — depends on shapes alone. */
+constexpr int64_t kSplitConvGroupCols = 32;
+
+/** Consecutive images [n0, n1) that share one conv work item. */
+struct SplitImageGroup
+{
+    int64_t n0; ///< first image (inclusive)
+    int64_t n1; ///< last image (exclusive)
+};
+
+/** The image groups of a conv over @p n images whose widest band
+ * contributes @p cols_per_image GEMM columns per image: ascending
+ * groups of g = min(n, ceil(kSplitConvGroupCols / cols_per_image))
+ * images covering [0, n), the last one ragged. g = 1 once a band
+ * reaches the target. The conv work item index is
+ * group_index * bands.size() + band_index. */
+std::vector<SplitImageGroup> splitConvImageGroups(int64_t n,
+                                                  int64_t cols_per_image);
+
+/** GEMM columns one image contributes to the widest band of
+ * @p scheme: band rows x parent output width for im2col (forward and
+ * dgrad), 2x2 output tiles of every width patch for Winograd. */
+int64_t splitConvImageCols(const SplitScheme2d &scheme, bool winograd);
 
 ///@}
 
@@ -102,21 +134,31 @@ enum class ConvKernel
     Winograd ///< batched-GEMM Winograd F(2x2, 3x3); 3x3/1 only
 };
 
+/** Whether @p kernel runs Winograd on a layer with @p c input and
+ * @p oc output channels: Winograd pinned, or Auto with
+ * winogradApplicable && winogradCostModelWins(c, oc). */
+bool splitConvUsesWinograd(ConvKernel kernel, const Window2d &win,
+                           int64_t c, int64_t oc);
+
 /**
  * Split convolution forward (Eqs. 4-7 applied to conv2d).
  *
  * Patches are views into the parent tensor (no pad2d copy, no
  * per-patch output tensors, no concat). Each work item is an
- * output-row band of one patch-row group: every patch in the band
- * stages its halo-aware im2col columns into one shared column matrix
- * ordered by parent output position, the matrix is packed into B
- * panels once and consumed across every output-channel tile, and the
- * GEMM's C is the parent output itself — so the GEMM runs at the
- * unsplit convolution's shape and the split overhead reduces to the
- * per-patch im2col flank handling. The weight operand is packed once
- * per call into the caller's scratch arena; the Winograd kernel's
- * transformed U is kept in a one-entry cache so the patch clones of
- * one layer share a single transform.
+ * output-row band of one patch-row group for one image group
+ * (splitConvImageGroups): every patch of every image in the group
+ * stages its halo-aware im2col columns into one shared column matrix,
+ * image-major and then by parent output position, the matrix is
+ * packed into B panels once and consumed across every output-channel
+ * tile, and the GEMM writes the parent output — directly when the
+ * group is one image, through a staging block copied out per image
+ * otherwise. Wide bands thus run at the unsplit convolution's shape,
+ * and small patches run one GEMM for the whole group instead of one
+ * mostly-empty GEMM per image. The Winograd kernel gathers the tiles
+ * of the same group into its 16 contractions. The weight operand is
+ * packed once per call into the caller's scratch arena; the Winograd
+ * kernel's transformed U is kept in a one-entry cache so the patch
+ * clones of one layer share a single transform.
  *
  * @p kernel pins the kernel (tests and benches); Auto applies
  * winogradApplicable && winogradCostModelWins(c, oc).
@@ -171,22 +213,24 @@ Tensor splitAvgPool2dForward(const Tensor &x, const Window2d &win,
 /**
  * Split convolution backward: the backward twin of the forward
  * pipeline. Gradient patches are PatchViews into the parent gradient
- * tensors — no per-patch bounce buffers. Each image's row bands run
- * serially on one worker (images fan out across the pool); per band,
- * every patch stages its halo-aware im2col columns into the shared
- * column matrix exactly as the forward does, then
+ * tensors — no per-patch bounce buffers. Two parallel phases:
  *
- *   wgrad: the columns (packed A) contract against the band's
- *          grad_out rows packed transposed straight from the parent
- *          tensor (gemmPackBStrided), chaining a per-image partial
+ *   wgrad: per image, its row bands serially on one worker (images
+ *          fan out across the pool). Per band every patch stages its
+ *          halo-aware im2col columns exactly as the forward does; the
+ *          columns (packed A) contract against the band's grad_out
+ *          rows packed transposed straight from the parent tensor
+ *          (gemmPackBStrided), chaining a per-image partial
  *          accumulator across bands (beta = 1); partials are reduced
  *          into grad_w serially in image order, so the result is
  *          bitwise-identical for any thread count.
- *   dgrad: W^T panels (packed once per call) contract against the
- *          band's grad_out rows, and each patch scatters its slice of
- *          the gradient columns into the parent grad_x through
- *          col2imViewStrided — halo rows accumulate under the
- *          worker's serial band/patch order (the SA609
+ *   dgrad: per image group (the forward's splitConvImageGroups), its
+ *          row bands serially on one worker. W^T panels (packed once
+ *          per call) contract against the group's grad_out band rows
+ *          side by side in one GEMM, and each image's patches scatter
+ *          their slice of the gradient columns into the parent
+ *          grad_x through col2imViewStrided — halo rows accumulate
+ *          under the worker's serial band/patch order (the SA609
  *          ordered-accumulation discipline).
  *
  * The dispatcher lints buildSplitConvBackwardPlan under

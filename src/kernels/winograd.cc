@@ -130,62 +130,69 @@ winogradPackWeights(const float *weight, int64_t oc, int64_t c,
 }
 
 void
-conv2dWinogradPatch(const float *img, int64_t c, int64_t ih, int64_t iw,
-                    const PatchView &view, const Window2d &win,
-                    const float *pu, int64_t oc, const float *bias,
-                    int64_t ty0, int64_t ty1, float *out,
-                    int64_t out_oh, int64_t out_ow, int64_t oy0,
-                    int64_t ox0)
+conv2dWinogradPatches(const WinogradPatch *patches, int64_t count,
+                      int64_t c, int64_t ih, int64_t iw,
+                      const float *pu, int64_t oc, const float *bias,
+                      int64_t ty0, int64_t ty1, int64_t out_oh,
+                      int64_t out_ow)
 {
-    SCNN_CHECK(winogradApplicable(win), "not a winograd geometry");
-    const int64_t oh_p = win.outH(view.ih);
-    const int64_t ow_p = win.outW(view.iw);
-    const int64_t tiles_x = (ow_p + 1) / 2;
-    const int64_t tiles = (ty1 - ty0) * tiles_x;
+    auto tilesX = [](const WinogradPatch &p) {
+        return (p.win.outW(p.view.iw) + 1) / 2;
+    };
+    int64_t tiles = 0;
+    for (int64_t pi = 0; pi < count; ++pi) {
+        SCNN_CHECK(winogradApplicable(patches[pi].win),
+                   "not a winograd geometry");
+        tiles += (ty1 - ty0) * tilesX(patches[pi]);
+    }
     if (tiles <= 0)
         return;
-    // Shadow claim: the tile gather stays inside the patch's
-    // contiguous input hull (same span im2colViewStrided claims).
-    shadowRecord(img + view.r0 * iw + view.c0,
-                 (c - 1) * ih * iw + (view.ih - 1) * iw + view.iw,
-                 false);
 
     auto &arena = ScratchArena::tls();
     auto guard = arena.scope();
     float *v = arena.alloc(16 * c * tiles);
     float *m = arena.alloc(16 * oc * tiles);
 
-    // Phase 1: gather + transform every input tile of the block,
+    // Phase 1: gather + transform every input tile of every patch,
     // scattering transform point e of (channel ic, tile t) to
-    // V_e(ic, t). Channel-major loop keeps the per-e rows of V
-    // written sequentially in t.
-    for (int64_t ic = 0; ic < c; ++ic) {
-        const float *chan = img + ic * ih * iw;
-        for (int64_t ty = ty0; ty < ty1; ++ty)
-            for (int64_t tx = 0; tx < tiles_x; ++tx) {
-                const int64_t t = (ty - ty0) * tiles_x + tx;
-                const int64_t y0 = 2 * ty - win.ph_b;
-                const int64_t x0 = 2 * tx - win.pw_b;
-                float d[4][4];
-                for (int r = 0; r < 4; ++r)
-                    for (int col = 0; col < 4; ++col) {
-                        const int64_t yy = y0 + r;
-                        const int64_t xx = x0 + col;
-                        d[r][col] =
-                            (yy < 0 || yy >= view.ih || xx < 0 ||
-                             xx >= view.iw)
-                                ? 0.0f
-                                : chan[(view.r0 + yy) * iw +
-                                       view.c0 + xx];
-                    }
-                float tile[4][4];
-                transformInput(d, tile);
-                for (int e = 0; e < 16; ++e)
-                    v[(e * c + ic) * tiles + t] = tile[e / 4][e % 4];
-            }
+    // V_e(ic, t); patch pi's tiles start at column t0. Channel-major
+    // loop keeps the per-e rows of V written sequentially in t.
+    for (int64_t pi = 0, t0 = 0; pi < count; ++pi) {
+        const WinogradPatch &p = patches[pi];
+        const PatchView &view = p.view;
+        const int64_t tiles_x = tilesX(p);
+        // Shadow claim: the tile gather stays inside the patch's
+        // contiguous input hull (same span im2colViewStrided claims).
+        shadowRecord(p.img + view.r0 * iw + view.c0,
+                     (c - 1) * ih * iw + (view.ih - 1) * iw + view.iw,
+                     false);
+        for (int64_t ic = 0; ic < c; ++ic) {
+            const float *chan = p.img + ic * ih * iw;
+            for (int64_t ty = ty0; ty < ty1; ++ty)
+                for (int64_t tx = 0; tx < tiles_x; ++tx) {
+                    const int64_t t = t0 + (ty - ty0) * tiles_x + tx;
+                    const int64_t y0 = 2 * ty - p.win.ph_b;
+                    const int64_t x0 = 2 * tx - p.win.pw_b;
+                    float d[4][4];
+                    for (int r = 0; r < 4; ++r)
+                        for (int col = 0; col < 4; ++col) {
+                            const int64_t yy = y0 + r;
+                            const int64_t xx = x0 + col;
+                            d[r][col] =
+                                view.inBounds(yy, xx)
+                                    ? chan[view.parentOffset(yy, xx, iw)]
+                                    : 0.0f;
+                        }
+                    float tile[4][4];
+                    transformInput(d, tile);
+                    for (int e = 0; e < 16; ++e)
+                        v[(e * c + ic) * tiles + t] = tile[e / 4][e % 4];
+                }
+        }
+        t0 += (ty1 - ty0) * tiles_x;
     }
 
-    // Phase 2: one packed GEMM per transform point,
+    // Phase 2: one packed GEMM per transform point over every tile,
     // M_e = U_e (oc x c) * V_e (c x tiles). Under the scalar
     // microkernel this accumulates channels ascending with the same
     // per-step rounding as a scalar MAC loop, so M is bit-identical
@@ -197,27 +204,34 @@ conv2dWinogradPatch(const float *img, int64_t c, int64_t ih, int64_t iw,
 
     // Phase 3: inverse-transform each tile per output channel and
     // write the clipped 2x2 block into the strided parent output.
-    for (int64_t o = 0; o < oc; ++o) {
-        const float b = bias != nullptr ? bias[o] : 0.0f;
-        float *ochan = out + o * out_oh * out_ow;
-        for (int64_t ty = ty0; ty < ty1; ++ty)
-            for (int64_t tx = 0; tx < tiles_x; ++tx) {
-                const int64_t t = (ty - ty0) * tiles_x + tx;
-                float mm[4][4];
-                for (int e = 0; e < 16; ++e)
-                    mm[e / 4][e % 4] =
-                        m[(e * oc + o) * tiles + t];
-                float y[2][2];
-                transformOutput(mm, y);
-                for (int r = 0; r < 2; ++r)
-                    for (int col = 0; col < 2; ++col) {
-                        const int64_t py = 2 * ty + r;
-                        const int64_t px = 2 * tx + col;
-                        if (py < oh_p && px < ow_p)
-                            ochan[(oy0 + py) * out_ow + ox0 + px] =
-                                y[r][col] + b;
-                    }
-            }
+    for (int64_t pi = 0, t0 = 0; pi < count; ++pi) {
+        const WinogradPatch &p = patches[pi];
+        const int64_t oh_p = p.win.outH(p.view.ih);
+        const int64_t ow_p = p.win.outW(p.view.iw);
+        const int64_t tiles_x = tilesX(p);
+        for (int64_t o = 0; o < oc; ++o) {
+            const float b = bias != nullptr ? bias[o] : 0.0f;
+            float *ochan = p.out + o * out_oh * out_ow;
+            for (int64_t ty = ty0; ty < ty1; ++ty)
+                for (int64_t tx = 0; tx < tiles_x; ++tx) {
+                    const int64_t t = t0 + (ty - ty0) * tiles_x + tx;
+                    float mm[4][4];
+                    for (int e = 0; e < 16; ++e)
+                        mm[e / 4][e % 4] =
+                            m[(e * oc + o) * tiles + t];
+                    float y[2][2];
+                    transformOutput(mm, y);
+                    for (int r = 0; r < 2; ++r)
+                        for (int col = 0; col < 2; ++col) {
+                            const int64_t py = 2 * ty + r;
+                            const int64_t px = 2 * tx + col;
+                            if (py < oh_p && px < ow_p)
+                                ochan[(p.oy0 + py) * out_ow + p.ox0 +
+                                      px] = y[r][col] + b;
+                        }
+                }
+        }
+        t0 += (ty1 - ty0) * tiles_x;
     }
 }
 

@@ -62,29 +62,45 @@ int64_t winogradPackedUSize(int64_t oc, int64_t c);
 void winogradPackWeights(const float *weight, int64_t oc, int64_t c,
                          float *pu);
 
+/** One patch of a Winograd work item: a view of a parent image and
+ * where its output block lands in the parent output. */
+struct WinogradPatch
+{
+    const float *img; ///< parent image, C x ih x iw, contiguous
+    PatchView view;   ///< patch rectangle inside the parent
+    Window2d win;     ///< patch-local 3x3/1 window (split paddings)
+    float *out;       ///< parent output image, [oc, out_oh, out_ow]
+    int64_t oy0;      ///< where the patch's output block starts in out
+    int64_t ox0;
+};
+
 /**
- * Run winograd tile rows [ty0, ty1) of one image's patch as batched
- * GEMMs.
+ * Run winograd tile rows [ty0, ty1) of @p count patches as one set of
+ * batched GEMMs.
  *
- * @param img parent image, C x ih x iw, contiguous.
- * @param view patch rectangle inside the parent.
- * @param win patch-local 3x3/1 window (split-scheme paddings).
+ * The tiles of every patch (any images, any width patches) are
+ * gathered side by side, patch after patch, into the 16 V_e matrices,
+ * so each transform point is one gemmPackedA contraction over all of
+ * them: small patches share the packed U across the whole group
+ * instead of contracting a handful of tiles each. Every M element
+ * accumulates channels ascending whatever the tile count, so results
+ * do not depend on how patches are grouped.
+ *
+ * @param c,ih,iw channels and extents of every parent image.
  * @param pu packed weights from winogradPackWeights.
  * @param bias per-channel bias or nullptr.
- * @param out parent output image base, [oc, out_oh, out_ow].
- * @param oy0,ox0 where the patch's output block starts in @p out.
+ * @param out_oh,out_ow extents of every parent output image.
  *
  * Tile row ty produces patch-output rows [2ty, 2ty+2) clipped to the
  * patch output height, so callers can tile a patch across workers
  * with any even row granularity. Scratch (V and M matrices for the
  * block) comes from the calling thread's arena.
  */
-void conv2dWinogradPatch(const float *img, int64_t c, int64_t ih,
-                         int64_t iw, const PatchView &view,
-                         const Window2d &win, const float *pu,
-                         int64_t oc, const float *bias, int64_t ty0,
-                         int64_t ty1, float *out, int64_t out_oh,
-                         int64_t out_ow, int64_t oy0, int64_t ox0);
+void conv2dWinogradPatches(const WinogradPatch *patches, int64_t count,
+                           int64_t c, int64_t ih, int64_t iw,
+                           const float *pu, int64_t oc,
+                           const float *bias, int64_t ty0, int64_t ty1,
+                           int64_t out_oh, int64_t out_ow);
 ///@}
 
 } // namespace scnn

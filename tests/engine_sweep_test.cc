@@ -11,9 +11,13 @@
  * policies, bias on and off. A second, hand-picked halo grid pins
  * the geometries random draws may miss: 1px output borders, 3x4
  * uneven grids, 2-row halos, patches of 2-3 rows and natural pool
- * shapes. Every case runs at 1, 2 and 4 threads under the scalar
- * microkernel and must match the oracle bitwise; a SIMD pass checks
- * the same cases within float tolerance. The seed is fixed.
+ * shapes. A third set runs the small-patch regime where conv work
+ * items group images (splitConvImageGroups): 1x1 and 2x2 output
+ * patches and odd Winograd output widths at batch sizes giving one
+ * image per group, one full group and a ragged last group. Every
+ * case runs at 1, 2 and 4 threads under the scalar microkernel and
+ * must match the oracle bitwise; a SIMD pass checks the same cases
+ * within float tolerance. The seed is fixed.
  */
 #include <gtest/gtest.h>
 
@@ -79,6 +83,7 @@ struct Case
     SplitScheme2d scheme;
     bool unsplit = false; ///< scheme is unsplitScheme(win, ih, iw)
     bool bias = false;
+    int64_t n = 3; ///< batch size
 };
 
 /** A random output partition of [0, l) into at most @p max_parts
@@ -205,7 +210,47 @@ haloCases(bool pool)
     return cases;
 }
 
-constexpr int64_t kN = 3, kC = 3, kOC = 4;
+/** A small-patch geometry for the grouped-batch cases: 3x3/1 pad 1
+ * (a Winograd window) with an uneven split grid. */
+struct GroupCase
+{
+    const char *name;
+    int64_t ih, iw;
+    std::vector<int64_t> h_starts, w_starts; ///< output partitions
+};
+
+/** Small patches at batch sizes 1 (one image per item), 8 (one full
+ * group) and 37 (full groups plus a ragged last one). */
+std::vector<Case>
+groupedCases()
+{
+    const std::vector<GroupCase> grid = {
+        {"1x1_patches", 2, 2, {0, 1}, {0, 1}},
+        {"2x2_patches", 4, 4, {0, 2}, {0, 2}},
+        {"odd_width", 3, 5, {0}, {0, 3}},    // 3- and 2-wide patches
+        {"odd_mixed", 5, 7, {0, 2}, {0, 1, 4}},
+        {"unsplit_3x3", 3, 3, {0}, {0}},
+    };
+    std::vector<Case> cases;
+    for (const GroupCase &gc : grid)
+        for (const int64_t n : {1, 8, 37}) {
+            Case cs;
+            cs.win = Window2d::square(3, 1, 1);
+            cs.ih = gc.ih;
+            cs.iw = gc.iw;
+            cs.scheme = splitWindowOp2d(cs.win, gc.ih, gc.iw, gc.h_starts,
+                                        gc.w_starts,
+                                        InputSplitPolicy::Center);
+            cs.bias = n != 8;
+            cs.n = n;
+            cs.name = std::string(gc.name) + " n=" + std::to_string(n) +
+                      (cs.bias ? " bias" : "");
+            cases.push_back(cs);
+        }
+    return cases;
+}
+
+constexpr int64_t kC = 3, kOC = 4;
 
 /** Per-case inputs, drawn from the case index. */
 struct Inputs
@@ -218,7 +263,7 @@ makeInputs(const Case &cs, uint64_t seed)
 {
     Rng rng(seed);
     Inputs in;
-    in.x = Tensor(Shape{kN, kC, cs.ih, cs.iw});
+    in.x = Tensor(Shape{cs.n, kC, cs.ih, cs.iw});
     in.x.fillNormal(rng, 0.0f, 1.0f);
     in.w = Tensor(Shape{kOC, kC, cs.win.kh, cs.win.kw});
     in.w.fillNormal(rng, 0.0f, 0.4f);
@@ -227,9 +272,9 @@ makeInputs(const Case &cs, uint64_t seed)
         in.b.fillNormal(rng, 0.0f, 0.4f);
     }
     const int64_t oh = cs.win.outH(cs.ih), ow = cs.win.outW(cs.iw);
-    in.go_conv = Tensor(Shape{kN, kOC, oh, ow});
+    in.go_conv = Tensor(Shape{cs.n, kOC, oh, ow});
     in.go_conv.fillNormal(rng, 0.0f, 1.0f);
-    in.go_pool = Tensor(Shape{kN, kC, oh, ow});
+    in.go_pool = Tensor(Shape{cs.n, kC, oh, ow});
     in.go_pool.fillNormal(rng, 0.0f, 1.0f);
     return in;
 }
@@ -483,6 +528,68 @@ TEST(SplitOp, HaloGridSimdConvMatchesOracleWithinTolerance)
     if (!simdAvailable())
         GTEST_SKIP() << "no SIMD kernel on this build/CPU";
     checkSimdConv(haloCases(/*pool=*/false), 1000);
+}
+
+TEST(SplitOp, GroupedBatchConvForwardMatchesOracleBitwise)
+{
+    checkConvForward(groupedCases(), 1100);
+}
+
+TEST(SplitBackward, GroupedBatchConvBackwardMatchesOracleBitwise)
+{
+    checkConvBackward(groupedCases(), 1200);
+}
+
+TEST(SplitOp, ImageGroupsCoverBatchAndStopAtTarget)
+{
+    for (const int64_t n : {0, 1, 2, 7, 8, 37, 64, 100})
+        for (const int64_t cols : {1, 2, 3, 4, 15, 16, 31, 32, 33, 896}) {
+            const std::vector<SplitImageGroup> groups =
+                splitConvImageGroups(n, cols);
+            const std::string at =
+                "n=" + std::to_string(n) + " cols=" + std::to_string(cols);
+            if (n == 0) {
+                EXPECT_TRUE(groups.empty()) << at;
+                continue;
+            }
+            // Contiguous, ascending, exactly [0, n); every group but
+            // the last has the full size g.
+            ASSERT_FALSE(groups.empty()) << at;
+            const int64_t g = groups[0].n1 - groups[0].n0;
+            EXPECT_EQ(groups.front().n0, 0) << at;
+            EXPECT_EQ(groups.back().n1, n) << at;
+            for (size_t i = 0; i < groups.size(); ++i) {
+                const int64_t size = groups[i].n1 - groups[i].n0;
+                EXPECT_GT(size, 0) << at;
+                if (i + 1 < groups.size()) {
+                    EXPECT_EQ(groups[i + 1].n0, groups[i].n1) << at;
+                    EXPECT_EQ(size, g) << at;
+                } else {
+                    EXPECT_LE(size, g) << at;
+                }
+            }
+            // The fewest images reaching the target, and one image once
+            // a band reaches it alone.
+            if (cols >= kSplitConvGroupCols) {
+                EXPECT_EQ(g, 1) << at;
+            } else if (g < n) {
+                EXPECT_TRUE(g * cols >= kSplitConvGroupCols &&
+                            (g - 1) * cols < kSplitConvGroupCols)
+                    << at << " g=" << g;
+            }
+        }
+
+    // GEMM columns per image: band rows x output width (im2col), 2x2
+    // tiles over every width patch (Winograd).
+    const Window2d win = Window2d::square(3, 1, 1);
+    EXPECT_EQ(splitConvImageCols(unsplitScheme(win, 56, 56), false),
+              16 * 56);
+    EXPECT_EQ(splitConvImageCols(unsplitScheme(win, 56, 56), true),
+              8 * 28);
+    const SplitScheme2d small =
+        splitWindowOp2d(win, 4, 5, {0, 2}, {0, 3});
+    EXPECT_EQ(splitConvImageCols(small, false), 2 * 5);
+    EXPECT_EQ(splitConvImageCols(small, true), 1 * (2 + 1));
 }
 
 } // namespace

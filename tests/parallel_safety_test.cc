@@ -71,6 +71,44 @@ TEST(ParallelSafety, ConvPlansAreCleanAcrossGeometries)
     }
 }
 
+TEST(ParallelSafety, GroupedConvPlansProveInterGroupDisjointness)
+{
+    // 2x2 output patches: 8 GEMM columns per image, so groups of
+    // kSplitConvGroupCols / 8 images; model two full groups.
+    const Window2d win = Window2d::square(3, 1, 1);
+    const auto scheme = makeScheme(win, 4, 4, 2, 2);
+    const int64_t cols = splitConvImageCols(scheme, false);
+    ASSERT_LT(cols, kSplitConvGroupCols);
+    const int64_t g = splitConvImageGroups(1000, cols)[0].n1;
+    ASSERT_GT(g, 1);
+    const int64_t n = 2 * g;
+
+    ParallelPlan fwd = buildSplitConvPlan(n, 3, 4, 4, 4, win, scheme);
+    ParallelPlan bwd =
+        buildSplitConvBackwardPlan(n, 3, 4, 4, 4, win, scheme);
+    for (const ParallelPlan *plan : {&fwd, &bwd}) {
+        const auto diags = analyzeParallelPlan(*plan);
+        EXPECT_FALSE(hasErrors(diags))
+            << plan->name << ":\n" << renderDiagnosticsText(diags);
+    }
+    // One item per (group, band): two groups x two bands.
+    ASSERT_EQ(fwd.items.size(), 4u);
+    EXPECT_EQ(fwd.items[0].name,
+              "img0-" + std::to_string(g - 1) + ":band0.0");
+    EXPECT_EQ(fwd.items[2].name, "img" + std::to_string(g) + "-" +
+                                     std::to_string(n - 1) + ":band0.0");
+
+    // Group 0's first band shifted one image on overlaps group 1's
+    // write: the analyzer must see the two groups as distinct writers.
+    ParallelAccess &wout = fwd.items[0].accesses[0];
+    ASSERT_TRUE(wout.write);
+    wout.span.base += 4 * 4 * 4; // one image (oc x out_h x out_w)
+    bool race = false;
+    for (const Diagnostic &d : analyzeParallelPlan(fwd))
+        race = race || d.code == "SA601";
+    EXPECT_TRUE(race);
+}
+
 TEST(ParallelSafety, PoolAndExecutorPlansAreClean)
 {
     const Window2d win = Window2d::square(2, 2, 0);
@@ -112,6 +150,37 @@ TEST(ParallelSafety, ShadowValidatesConvAgainstModel)
 
     const ShadowAccessStats stats = shadowAccessStats();
     EXPECT_GE(stats.sessions_checked, 2);
+    EXPECT_GT(stats.records_checked, 0);
+    EXPECT_EQ(stats.violations, 0);
+}
+
+TEST(ParallelSafety, ShadowValidatesGroupedConvAgainstModel)
+{
+    // 1x1 output patches at a batch with a ragged last group, both
+    // kernels forward and the backward: every recorded claim of a
+    // grouped item must sit inside its modeled footprint.
+    ScopedShadow shadow;
+    shadowAccessResetStats();
+    Rng rng(11);
+    Tensor x(Shape{37, 3, 2, 2});
+    x.fillNormal(rng, 0.0f, 1.0f);
+    Tensor w(Shape{4, 3, 3, 3});
+    w.fillNormal(rng, 0.0f, 0.5f);
+    Tensor bias(Shape{4});
+    bias.fillNormal(rng, 0.0f, 0.1f);
+    const Window2d win = Window2d::square(3, 1, 1);
+    const auto scheme = makeScheme(win, 2, 2, 2, 2);
+    splitConv2dForward(x, w, bias, win, scheme, ConvKernel::Im2col);
+    splitConv2dForward(x, w, bias, win, scheme, ConvKernel::Winograd);
+    Tensor go(Shape{37, 4, 2, 2});
+    go.fillNormal(rng, 0.0f, 1.0f);
+    Tensor gx;
+    Tensor gw(w.shape());
+    Tensor gb(Shape{4});
+    splitConv2dBackward(x, w, go, win, scheme, gx, gw, gb);
+
+    const ShadowAccessStats stats = shadowAccessStats();
+    EXPECT_GE(stats.sessions_checked, 3);
     EXPECT_GT(stats.records_checked, 0);
     EXPECT_EQ(stats.violations, 0);
 }

@@ -62,6 +62,9 @@ SPLIT_BACKWARD_OVERHEAD_MAX = {
 # model selects it for (64 channels), so it must not be materially
 # slower than im2col there (0.9 absorbs CI noise).
 WINOGRAD_SPEEDUP_MIN = 0.9
+# The small_spatial_conv rows that must be present (timings ungated).
+SMALL_SPATIAL_LAYERS = {"infer_conv6", "infer_conv10", "infer_conv13",
+                        "train_conv13"}
 # ---------------------------------------------------------------------------
 
 
@@ -196,6 +199,17 @@ def main():
             print(f"  winograd_speedup "
                   f"{fw['winograd_speedup']:.3f} "
                   f"(baseline {bw.get('winograd_speedup', '?')})")
+        base_small = {layer["name"]: layer for layer in
+                      baseline.get("small_spatial_conv", {})
+                      .get("layers", [])}
+        for layer in fresh.get("small_spatial_conv", {}).get("layers",
+                                                              []):
+            b = base_small.get(layer["name"], {})
+            print(f"  small conv {layer['name']} ({layer['kernel']}): "
+                  f"fwd {layer['fwd_ms']:.4f} ms "
+                  f"(baseline {b.get('fwd_ms', '?')}), "
+                  f"group speedup {layer['fwd_group_speedup']:.2f} "
+                  f"(baseline {b.get('fwd_group_speedup', '?')})")
         fi = fresh.get("im2col_strided")
         bi = baseline.get("im2col_strided", {})
         if fi:
@@ -279,6 +293,27 @@ def main():
         print(f"ok: im2col fill rates measured (stride1 "
               f"{i2c['stride1_fill_gbps']:.2f} GB/s, stride2 "
               f"{i2c['stride2_fill_gbps']:.2f} GB/s)")
+
+    # Small-map convs (the deep layers of a split network, where conv
+    # work items group images) and the packed-GEMM N sweep behind
+    # kSplitConvGroupCols: machine-dependent timings, so only presence
+    # is gated; the baseline diff above is the reviewable measurement.
+    small = fresh.get("small_spatial_conv")
+    if not small:
+        rc |= fail("no small_spatial_conv measurement in report")
+    else:
+        layers = {layer["name"]: layer for layer in small.get("layers", [])}
+        missing = sorted(SMALL_SPATIAL_LAYERS - layers.keys())
+        if missing:
+            rc |= fail(f"small_spatial_conv lacks {', '.join(missing)}")
+        elif "bwd_ms" not in layers["train_conv13"]:
+            rc |= fail("small_spatial_conv train_conv13 has no backward")
+        elif not small.get("gemm_n_sweep"):
+            rc |= fail("small_spatial_conv has no gemm_n_sweep")
+        else:
+            print("ok: small_spatial_conv measured (" + ", ".join(
+                f"{n} {layers[n]['fwd_ms']:.3f} ms"
+                for n in sorted(SMALL_SPATIAL_LAYERS)) + ")")
 
     wino = fresh.get("winograd")
     if not wino:

@@ -122,11 +122,9 @@ main(int argc, char **argv)
     // --- GEMM: naive vs blocked --------------------------------------
     std::vector<GemmResult> gemms;
     for (int64_t n : {64, 128, 256}) {
-        gemms.push_back(benchGemm("NN", gemmNaive, gemmBlocked, n));
-        gemms.push_back(
-            benchGemm("TN", gemmTNNaive, gemmTNBlocked, n));
-        gemms.push_back(
-            benchGemm("NT", gemmNTNaive, gemmNTBlocked, n));
+        gemms.push_back(benchGemm("NN", gemmNaive, gemm, n));
+        gemms.push_back(benchGemm("TN", gemmTNNaive, gemmTN, n));
+        gemms.push_back(benchGemm("NT", gemmNTNaive, gemmNT, n));
     }
 
     // --- conv2d forward (fig08-style layer, width-reduced) -----------

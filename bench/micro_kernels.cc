@@ -37,7 +37,7 @@ runGemmBench(benchmark::State &state, GemmFn fn)
     state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
 
-/** Runtime-dispatched kernel (what the engine actually calls). */
+/** The blocked kernels the engine calls, one per layout. */
 void
 BM_Gemm(benchmark::State &state)
 {
@@ -53,25 +53,18 @@ BM_GemmNaive(benchmark::State &state)
 BENCHMARK(BM_GemmNaive)->Arg(64)->Arg(128)->Arg(256);
 
 void
-BM_GemmBlocked(benchmark::State &state)
+BM_GemmTN(benchmark::State &state)
 {
-    runGemmBench(state, gemmBlocked);
+    runGemmBench(state, gemmTN);
 }
-BENCHMARK(BM_GemmBlocked)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_GemmTN)->Arg(64)->Arg(128)->Arg(256);
 
 void
-BM_GemmTNBlocked(benchmark::State &state)
+BM_GemmNT(benchmark::State &state)
 {
-    runGemmBench(state, gemmTNBlocked);
+    runGemmBench(state, gemmNT);
 }
-BENCHMARK(BM_GemmTNBlocked)->Arg(64)->Arg(128)->Arg(256);
-
-void
-BM_GemmNTBlocked(benchmark::State &state)
-{
-    runGemmBench(state, gemmNTBlocked);
-}
-BENCHMARK(BM_GemmNTBlocked)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_GemmNT)->Arg(64)->Arg(128)->Arg(256);
 
 void
 BM_Conv2dForward(benchmark::State &state)

@@ -892,22 +892,12 @@ splitConv2dBackward(const Tensor &x, const Tensor &weight,
         checkShadow(*shadow, "split conv backward");
 }
 
-namespace {
-
-/**
- * Shared driver for split pool backward: one image per worker, the
- * image's patches scattered serially ascending so halo targets
- * (k > s windows straddling a patch seam) accumulate in a fixed
- * order. @p scatter adds patch (hi, wi) of image @p in into grad_x
- * through the patch's view, reading grad_out in place.
- */
-template <typename Scatter>
 Tensor
-splitPool2dBackwardImpl(const Shape &in_shape, const Tensor &grad_out,
-                        const Window2d &win,
-                        const SplitScheme2d &scheme, const char *what,
-                        Scatter &&scatter)
+splitAvgPool2dBackward(const Shape &in_shape, const Tensor &grad_out,
+                       const Window2d &win,
+                       const SplitScheme2d &scheme)
 {
+    checkSchemeGeometry(win, scheme);
     SCNN_REQUIRE(in_shape.rank() == 4, "pool input must be NCHW");
     SCNN_CHECK(scheme.h.parts() > 0 && scheme.w.parts() > 0,
                "empty split scheme");
@@ -920,6 +910,7 @@ splitPool2dBackwardImpl(const Shape &in_shape, const Tensor &grad_out,
     SCNN_CHECK(grad_out.shape() == Shape({n, c, out_h, out_w}),
                "pool grad_out shape mismatch: "
                    << grad_out.shape().toString());
+    const char *what = "split avg-pool backward";
     if (lintParallelEnabled())
         lintSplitPlan(buildSplitPoolBackwardPlan(std::min<int64_t>(n, 2),
                                                  c, ih, iw, win, scheme),
@@ -927,6 +918,7 @@ splitPool2dBackwardImpl(const Shape &in_shape, const Tensor &grad_out,
 
     const int wp = scheme.w.parts();
     const int64_t parts = int64_t(scheme.h.parts()) * wp;
+    const float inv_area = 1.0f / static_cast<float>(win.kh * win.kw);
 
     Tensor grad_x(in_shape); // zero: scatter-add target
 
@@ -938,6 +930,9 @@ splitPool2dBackwardImpl(const Shape &in_shape, const Tensor &grad_out,
         shadow->bind("grad_out", grad_out.data());
     }
 
+    // One image per worker, the image's patches scattered serially
+    // ascending so halo targets (k > s windows straddling a patch
+    // seam) accumulate in a fixed order.
     globalPool().parallelFor(n, [&](int64_t nb, int64_t ne) {
         for (int64_t in = nb; in < ne; ++in) {
             for (int64_t pi = 0; pi < parts; ++pi) {
@@ -966,100 +961,47 @@ splitPool2dBackwardImpl(const Shape &in_shape, const Tensor &grad_out,
                          pw.outLen()},
                         false);
                 }
-                scatter(grad_x, in, hi, wi);
+                // The exact adjoint of avgPool2dPatch: every in-view
+                // tap of an output in the patch block receives
+                // grad * 1/(kh*kw) (count_include_pad: out-of-view
+                // taps are padding and get nothing, exactly as the
+                // forward reads them as zero).
+                const PatchView view{ph.in_start, pw.in_start,
+                                     ph.inLen(), pw.inLen()};
+                const Window2d local = patchWindow(win, scheme, hi, wi);
+                for (int64_t ic = 0; ic < c; ++ic) {
+                    float *chan =
+                        grad_x.data() + (in * c + ic) * ih * iw;
+                    const float *gchan =
+                        grad_out.data() +
+                        ((in * c + ic) * out_h + ph.out_start) * out_w +
+                        pw.out_start;
+                    for (int64_t oy = 0; oy < ph.outLen(); ++oy)
+                        for (int64_t ox = 0; ox < pw.outLen(); ++ox) {
+                            const float g =
+                                gchan[oy * out_w + ox] * inv_area;
+                            for (int64_t ky = 0; ky < local.kh; ++ky) {
+                                const int64_t iy =
+                                    oy * local.sh - local.ph_b + ky;
+                                if (iy < 0 || iy >= view.ih)
+                                    continue;
+                                for (int64_t kx = 0; kx < local.kw;
+                                     ++kx) {
+                                    const int64_t ix =
+                                        ox * local.sw - local.pw_b + kx;
+                                    if (ix >= 0 && ix < view.iw)
+                                        chan[view.parentOffset(
+                                            iy, ix, iw)] += g;
+                                }
+                            }
+                        }
+                }
             }
         }
     });
     if (shadow)
         checkShadow(*shadow, what);
     return grad_x;
-}
-
-} // namespace
-
-Tensor
-splitMaxPool2dBackward(const Shape &in_shape, const Tensor &grad_out,
-                       const std::vector<int64_t> &argmax,
-                       const SplitScheme2d &scheme)
-{
-    SCNN_CHECK(static_cast<int64_t>(argmax.size()) == grad_out.numel(),
-               "argmax size mismatch");
-    const int64_t c = in_shape.dim(1);
-    const int64_t out_h = scheme.h.pieces.back().out_end;
-    const int64_t out_w = scheme.w.pieces.back().out_end;
-    return splitPool2dBackwardImpl(
-        in_shape, grad_out, Window2d{}, scheme,
-        "split max-pool backward",
-        [&](Tensor &gx, int64_t in, int hi, int wi) {
-            const SplitPiece1d &ph = scheme.h.pieces[hi];
-            const SplitPiece1d &pw = scheme.w.pieces[wi];
-            // The forward argmax is absolute into the whole input
-            // tensor, and every argmax of an output in this block
-            // lies inside the patch's input rectangle (Eqs. 1-2).
-            for (int64_t ic = 0; ic < c; ++ic)
-                for (int64_t oy = ph.out_start; oy < ph.out_end; ++oy)
-                    for (int64_t ox = pw.out_start; ox < pw.out_end;
-                         ++ox) {
-                        const int64_t oi =
-                            ((in * c + ic) * out_h + oy) * out_w + ox;
-                        const int64_t idx =
-                            argmax[static_cast<size_t>(oi)];
-                        if (idx >= 0)
-                            gx.at(idx) += grad_out.at(oi);
-                    }
-        });
-}
-
-Tensor
-splitAvgPool2dBackward(const Shape &in_shape, const Tensor &grad_out,
-                       const Window2d &win,
-                       const SplitScheme2d &scheme)
-{
-    checkSchemeGeometry(win, scheme);
-    const int64_t c = in_shape.dim(1);
-    const int64_t ih = in_shape.dim(2);
-    const int64_t iw = in_shape.dim(3);
-    const int64_t out_h = scheme.h.pieces.back().out_end;
-    const int64_t out_w = scheme.w.pieces.back().out_end;
-    const float inv_area = 1.0f / static_cast<float>(win.kh * win.kw);
-    return splitPool2dBackwardImpl(
-        in_shape, grad_out, win, scheme, "split avg-pool backward",
-        [&](Tensor &gx, int64_t in, int hi, int wi) {
-            // The exact adjoint of avgPool2dPatch: every in-view tap
-            // of an output in the patch block receives
-            // grad * 1/(kh*kw) (count_include_pad: out-of-view taps
-            // are padding and get nothing, exactly as the forward
-            // reads them as zero).
-            const SplitPiece1d &ph = scheme.h.pieces[hi];
-            const SplitPiece1d &pw = scheme.w.pieces[wi];
-            const PatchView view{ph.in_start, pw.in_start, ph.inLen(),
-                                 pw.inLen()};
-            const Window2d local = patchWindow(win, scheme, hi, wi);
-            for (int64_t ic = 0; ic < c; ++ic) {
-                float *chan = gx.data() + (in * c + ic) * ih * iw;
-                const float *gchan =
-                    grad_out.data() +
-                    ((in * c + ic) * out_h + ph.out_start) * out_w +
-                    pw.out_start;
-                for (int64_t oy = 0; oy < ph.outLen(); ++oy)
-                    for (int64_t ox = 0; ox < pw.outLen(); ++ox) {
-                        const float g = gchan[oy * out_w + ox] * inv_area;
-                        for (int64_t ky = 0; ky < local.kh; ++ky) {
-                            const int64_t iy =
-                                oy * local.sh - local.ph_b + ky;
-                            if (iy < 0 || iy >= view.ih)
-                                continue;
-                            for (int64_t kx = 0; kx < local.kw; ++kx) {
-                                const int64_t ix =
-                                    ox * local.sw - local.pw_b + kx;
-                                if (ix >= 0 && ix < view.iw)
-                                    chan[view.parentOffset(iy, ix,
-                                                           iw)] += g;
-                            }
-                        }
-                    }
-            }
-        });
 }
 
 } // namespace scnn

@@ -199,8 +199,8 @@ void splitWeightCacheClear();
  *
  * @param argmax [out] resized to the output size and filled with
  *        each output's linear index into the whole input tensor (-1
- *        for all-padding windows), the layout splitMaxPool2dBackward
- *        and maxPool2dBackward read.
+ *        for all-padding windows), the layout maxPool2dBackward
+ *        reads.
  */
 Tensor splitMaxPool2dForward(const Tensor &x, const Window2d &win,
                              const SplitScheme2d &scheme,
@@ -247,30 +247,18 @@ void splitConv2dBackward(const Tensor &x, const Tensor &weight,
                          Tensor &grad_w, Tensor &grad_b);
 
 /**
- * @name Split pooling backward
- *
- * Gradients scatter through each patch's PatchView into the parent
- * grad_x: a worker owns an image and walks its patches in ascending
- * order, so halo rows (windows straddling a patch seam when k > s)
- * accumulate in a fixed order — bitwise-deterministic for any thread
- * count.
- *
- * @p argmax comes from the parent-level max-pool forward (linear
- * indices into the whole input tensor); every argmax of an output in
- * a patch's block lies inside that patch's input rectangle by the
- * scheme's construction (Eqs. 1-2).
+ * Split average-pool backward. Gradients scatter through each patch's
+ * PatchView into the parent grad_x: a worker owns an image and walks
+ * its patches in ascending order, so halo rows (windows straddling a
+ * patch seam when k > s) accumulate in a fixed order —
+ * bitwise-deterministic for any thread count. Max-pool needs no split
+ * twin: its forward argmax indexes the whole input tensor, so
+ * maxPool2dBackward is the one scatter for either scheme.
  */
-///@{
-Tensor splitMaxPool2dBackward(const Shape &in_shape,
-                              const Tensor &grad_out,
-                              const std::vector<int64_t> &argmax,
-                              const SplitScheme2d &scheme);
-
 Tensor splitAvgPool2dBackward(const Shape &in_shape,
                               const Tensor &grad_out,
                               const Window2d &win,
                               const SplitScheme2d &scheme);
-///@}
 
 } // namespace scnn
 

@@ -13,6 +13,37 @@
 
 namespace scnn {
 
+const std::vector<SplitOptions> &
+splitDegradationLadder()
+{
+    static const std::vector<SplitOptions> ladder = {
+        SplitOptions{.depth = 0.5, .splits_h = 2, .splits_w = 2},
+        SplitOptions{.depth = 1.0, .splits_h = 2, .splits_w = 2},
+        SplitOptions{.depth = 1.0, .splits_h = 3, .splits_w = 3},
+        SplitOptions{.depth = 1.0, .splits_h = 4, .splits_w = 4},
+    };
+    return ladder;
+}
+
+Status
+splitRungFeasible(const Graph &graph, const SplitOptions &sopt)
+{
+    const int cut = chooseCutPoint(graph, sopt.depth);
+    if (cut < 0)
+        return invalidArgument("no split cut point at depth " +
+                               std::to_string(sopt.depth));
+    const Shape &join =
+        graph.tensor(graph.cutPoints()[static_cast<size_t>(cut)].tensor)
+            .shape;
+    if (join.dim(2) < sopt.splits_h || join.dim(3) < sopt.splits_w)
+        return invalidArgument(
+            "split grid " + std::to_string(sopt.splits_h) + "x" +
+            std::to_string(sopt.splits_w) + " exceeds the join extent " +
+            std::to_string(join.dim(2)) + "x" +
+            std::to_string(join.dim(3)));
+    return Status();
+}
+
 std::string
 DegradationReport::toString() const
 {
@@ -54,8 +85,7 @@ DegradationReport::toString() const
 StatusOr<DegradedPlan>
 planWithDegradation(const Graph &base, const DeviceSpec &spec,
                     const PlannerConfig &initial,
-                    DegradationReport *report,
-                    const DegradationOptions &options)
+                    DegradationReport *report)
 {
     SCNN_RETURN_IF_ERROR(validateDeviceSpec(spec));
 
@@ -64,6 +94,7 @@ planWithDegradation(const Graph &base, const DeviceSpec &spec,
     rep = DegradationReport{};
     rep.capacity = spec.memory_capacity;
 
+    const BackwardOptions &backward = initial.backward;
     std::optional<DegradedPlan> found;
     auto tryRung = [&](Graph g, PlannerKind kind, double cap,
                        bool is_split, const SplitOptions &sopt,
@@ -72,13 +103,13 @@ planWithDegradation(const Graph &base, const DeviceSpec &spec,
         StorageAssignment assignment =
             assignStorage(g, g.topoOrder());
         auto plan_or = planMemory(
-            g, spec, {kind, cap, options.backward}, assignment);
+            g, spec, {kind, cap, backward}, assignment);
         if (!plan_or.ok())
             return plan_or.status().withContext(
                 std::string("degradation rung '") + action + "'");
         MemoryPlan plan = std::move(plan_or).value();
         StaticMemoryPlan mem =
-            planStaticMemory(g, assignment, plan, options.backward);
+            planStaticMemory(g, assignment, plan, backward);
 
         DegradationAttempt attempt;
         attempt.action = action;
@@ -93,7 +124,7 @@ planWithDegradation(const Graph &base, const DeviceSpec &spec,
             // rejects — a fitting-but-ill-formed plan is worse than
             // walking one more rung.
             AnalyzerOptions lint_options;
-            lint_options.backward = options.backward;
+            lint_options.backward = backward;
             const auto diags =
                 analyzePlan(g, assignment, plan, mem, lint_options);
             attempt.lint_errors =
@@ -125,7 +156,7 @@ planWithDegradation(const Graph &base, const DeviceSpec &spec,
             result.assignment = std::move(assignment);
             result.plan = std::move(plan);
             result.memory = std::move(mem);
-            result.config = {kind, cap, options.backward};
+            result.config = {kind, cap, backward};
             result.split_applied = is_split;
             result.split = sopt;
             found = std::move(result);
@@ -138,20 +169,17 @@ planWithDegradation(const Graph &base, const DeviceSpec &spec,
                                  initial.offload_cap, false, {},
                                  "initial"));
 
-    // Rung 2: raise the offload cap under the HMMS scheduler.
+    // Rung 2: raise the offload cap under the HMMS scheduler, to the
+    // profiled theoretical limit (<= 1.0), then 1.0.
     if (!found) {
-        std::vector<double> caps = options.offload_caps;
-        if (caps.empty())
-            caps = {profileForwardPass(base, spec)
-                        .offloadable_fraction,
-                    1.0};
-        std::sort(caps.begin(), caps.end());
         double prev = -1.0;
-        for (double cap : caps) {
+        for (double cap :
+             {profileForwardPass(base, spec).offloadable_fraction,
+              1.0}) {
             if (found)
                 break;
             // Skip rungs that cannot offload more than what already
-            // failed (and exact duplicates within the ladder).
+            // failed (and a limit of exactly 1.0 tried twice).
             if (initial.kind == PlannerKind::Hmms &&
                 cap <= initial.offload_cap)
                 continue;
@@ -166,46 +194,22 @@ planWithDegradation(const Graph &base, const DeviceSpec &spec,
 
     // Rung 3: LayerWise scheduler — eager per-layer sync frees
     // device copies sooner (smaller footprint, slower iteration).
-    if (!found && options.try_layerwise)
+    if (!found)
         SCNN_RETURN_IF_ERROR(tryRung(base, PlannerKind::LayerWise,
                                      1.0, false, {},
                                      "layer-wise scheduler"));
 
-    // Rung 4: Split-CNN at progressively finer geometry.
-    if (!found) {
-        std::vector<SplitOptions> ladder = options.splits;
-        if (ladder.empty())
-            ladder = {
-                SplitOptions{.depth = 0.5, .splits_h = 2,
-                             .splits_w = 2},
-                SplitOptions{.depth = 1.0, .splits_h = 2,
-                             .splits_w = 2},
-                SplitOptions{.depth = 1.0, .splits_h = 3,
-                             .splits_w = 3},
-                SplitOptions{.depth = 1.0, .splits_h = 4,
-                             .splits_w = 4},
-            };
-        for (const SplitOptions &sopt : ladder) {
-            if (found)
-                break;
-            // A grid finer than the join tensor's spatial extent
-            // cannot produce non-empty patches; skip the rung rather
-            // than trip the splitter's input validation.
-            const int cut = chooseCutPoint(base, sopt.depth);
-            if (cut < 0)
-                continue;
-            const Shape &join =
-                base.tensor(base.cutPoints()[static_cast<size_t>(cut)]
-                                .tensor)
-                    .shape;
-            if (join.dim(2) < sopt.splits_h ||
-                join.dim(3) < sopt.splits_w)
-                continue;
-            SCNN_RETURN_IF_ERROR(
-                tryRung(splitCnnTransform(base, sopt),
-                        PlannerKind::Hmms, 1.0, true, sopt,
-                        "split-cnn re-split"));
-        }
+    // Rung 4: Split-CNN at progressively finer geometry; a rung that
+    // cannot split this graph is skipped rather than tripping the
+    // splitter's input validation.
+    for (const SplitOptions &sopt : splitDegradationLadder()) {
+        if (found)
+            break;
+        if (!splitRungFeasible(base, sopt).ok())
+            continue;
+        SCNN_RETURN_IF_ERROR(tryRung(splitCnnTransform(base, sopt),
+                                     PlannerKind::Hmms, 1.0, true, sopt,
+                                     "split-cnn re-split"));
     }
 
     rep.success = found.has_value();

@@ -11,9 +11,9 @@
  *      per-layer synchronization frees device copies sooner, buying
  *      a smaller footprint at a throughput cost;
  *   4. apply Split-CNN at progressively deeper/finer geometry
- *      (depth 0.5 2x2 -> 1.0 2x2 -> 1.0 3x3 -> 1.0 4x4), replanning
- *      each rung with HMMS at full cap; rungs whose grid exceeds
- *      the join tensor's spatial extent are skipped, not attempted.
+ *      (splitDegradationLadder()), replanning each rung with HMMS at
+ *      full cap; rungs splitRungFeasible() rejects are skipped, not
+ *      attempted.
  *
  * The ladder is finite, so the chain always terminates: either some
  * rung fits and a complete re-plan is returned, or every rung is
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "core/splitter.h"
-#include "graph/backward.h"
 #include "graph/graph.h"
 #include "hmms/planner.h"
 #include "hmms/static_planner.h"
@@ -37,24 +36,21 @@
 
 namespace scnn {
 
-/** Knobs of the fallback chain; defaults follow the doc above. */
-struct DegradationOptions
-{
-    /**
-     * Offload-cap escalation rungs. Empty selects the default
-     * ladder: the profiled theoretical limit, then 1.0.
-     */
-    std::vector<double> offload_caps;
-    /** Try the LayerWise scheduler before resorting to splits. */
-    bool try_layerwise = true;
-    /**
-     * Split-geometry rungs, tried in order. Empty selects the
-     * default ladder documented above.
-     */
-    std::vector<SplitOptions> splits;
-    /** Backward options threaded through every re-plan. */
-    BackwardOptions backward;
-};
+/**
+ * The Split-CNN rungs of the chain, shallowest first: depth 0.5 2x2
+ * -> 1.0 2x2 -> 1.0 3x3 -> 1.0 4x4. The serving engine degrades
+ * tenants down the same ladder (serve/engine.h).
+ */
+const std::vector<SplitOptions> &splitDegradationLadder();
+
+/**
+ * Whether @p sopt can split @p graph: a cut point must exist at
+ * sopt.depth, and the join tensor's spatial extent must be at least
+ * the grid, or some patch would be empty.
+ *
+ * @returns Ok, or InvalidArgument naming the check that failed.
+ */
+Status splitRungFeasible(const Graph &graph, const SplitOptions &sopt);
 
 /** One rung of the chain and whether its plan fit. */
 struct DegradationAttempt
@@ -100,7 +96,7 @@ struct DegradedPlan
 /**
  * Plan @p base for @p spec starting from @p initial and walking the
  * fallback chain until some rung's static plan fits
- * spec.memory_capacity.
+ * spec.memory_capacity. Every rung plans with initial.backward.
  *
  * @param report optional; receives every attempt even on failure.
  * @returns the first fitting re-plan, or ResourceExhausted when the
@@ -109,8 +105,7 @@ struct DegradedPlan
 StatusOr<DegradedPlan>
 planWithDegradation(const Graph &base, const DeviceSpec &spec,
                     const PlannerConfig &initial,
-                    DegradationReport *report = nullptr,
-                    const DegradationOptions &options = {});
+                    DegradationReport *report = nullptr);
 
 } // namespace scnn
 

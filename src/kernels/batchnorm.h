@@ -34,10 +34,9 @@ Tensor batchNormForward(const Tensor &x, const Tensor &gamma,
  *
  * Computes the identical output and cache as batchNormForward (batch
  * statistics only — training mode never reads running stats). The
- * patch-parallel executor uses this so graph nodes that share
- * parameters can run concurrently; it then applies the deferred
- * updates serially via applyBatchNormRunningUpdate, in the same order
- * the serial executor would have.
+ * executor uses this so graph nodes that share parameters can run
+ * concurrently; it then applies the deferred updates serially via
+ * applyBatchNormRunningUpdate, in topological order.
  */
 Tensor batchNormForwardStats(const Tensor &x, const Tensor &gamma,
                              const Tensor &beta, float eps,

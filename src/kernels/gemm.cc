@@ -252,8 +252,8 @@ blockedCore(int64_t m, int64_t n, int64_t k, const float *a, int64_t a_rs,
 } // namespace
 
 void
-gemmBlocked(int64_t m, int64_t n, int64_t k, float alpha, const float *a,
-            const float *b, float beta, float *c)
+gemm(int64_t m, int64_t n, int64_t k, float alpha, const float *a,
+     const float *b, float beta, float *c)
 {
     applyBeta(m, n, beta, c);
     blockedCore(m, n, k, a, /*a_rs=*/k, /*a_cs=*/1, alpha, b,
@@ -261,8 +261,8 @@ gemmBlocked(int64_t m, int64_t n, int64_t k, float alpha, const float *a,
 }
 
 void
-gemmTNBlocked(int64_t m, int64_t n, int64_t k, float alpha, const float *a,
-              const float *b, float beta, float *c)
+gemmTN(int64_t m, int64_t n, int64_t k, float alpha, const float *a,
+       const float *b, float beta, float *c)
 {
     applyBeta(m, n, beta, c);
     blockedCore(m, n, k, a, /*a_rs=*/1, /*a_cs=*/m, alpha, b,
@@ -270,8 +270,8 @@ gemmTNBlocked(int64_t m, int64_t n, int64_t k, float alpha, const float *a,
 }
 
 void
-gemmNTBlocked(int64_t m, int64_t n, int64_t k, float alpha, const float *a,
-              const float *b, float beta, float *c)
+gemmNT(int64_t m, int64_t n, int64_t k, float alpha, const float *a,
+       const float *b, float beta, float *c)
 {
     // The naive NT kernel accumulates each dot product from zero and
     // applies alpha/beta in an epilogue; mirror that exactly with a
@@ -503,27 +503,6 @@ gemmPackedAB(int64_t m, int64_t n, int64_t k, const float *pa,
 {
     gemmPackedABCols(m, n, k, pa, pb, 0, gemmPackedBPanels(n), beta, c,
                      ldc);
-}
-
-void
-gemm(int64_t m, int64_t n, int64_t k, float alpha, const float *a,
-     const float *b, float beta, float *c)
-{
-    gemmBlocked(m, n, k, alpha, a, b, beta, c);
-}
-
-void
-gemmTN(int64_t m, int64_t n, int64_t k, float alpha, const float *a,
-       const float *b, float beta, float *c)
-{
-    gemmTNBlocked(m, n, k, alpha, a, b, beta, c);
-}
-
-void
-gemmNT(int64_t m, int64_t n, int64_t k, float alpha, const float *a,
-       const float *b, float beta, float *c)
-{
-    gemmNTBlocked(m, n, k, alpha, a, b, beta, c);
 }
 
 } // namespace scnn

@@ -6,9 +6,9 @@
  *
  * - The *naive* triple-loop kernels (`gemmNaive` et al.), the seed
  *   implementation, kept as the bit-exact reference.
- * - The *blocked* kernels (`gemmBlocked` et al.): packed A/B panels,
- *   MC/KC/NC cache blocking, and a register-tiled MRxNR microkernel
- *   written with compiler vector extensions.
+ * - The *blocked* kernels (`gemm`, `gemmTN`, `gemmNT`): packed A/B
+ *   panels, MC/KC/NC cache blocking, and a register-tiled MRxNR
+ *   microkernel written with compiler vector extensions.
  *
  * With the *scalar* microkernel (kernels/microkernel.h) the blocked
  * kernels preserve the naive kernels' per-element floating-point
@@ -23,8 +23,7 @@
  * determinism carve-out; they remain deterministic for a given
  * problem at any thread count.
  *
- * `gemm`/`gemmTN`/`gemmNT` run the blocked kernels; the naive ones
- * are test and bench references only.
+ * The naive kernels are test and bench references only.
  */
 #ifndef SCNN_KERNELS_GEMM_H
 #define SCNN_KERNELS_GEMM_H
@@ -67,16 +66,6 @@ void gemmNTNaive(int64_t m, int64_t n, int64_t k, float alpha,
                  const float *a, const float *b, float beta, float *c);
 ///@}
 
-/** @name Cache-blocked implementations — callable directly (bench). */
-///@{
-void gemmBlocked(int64_t m, int64_t n, int64_t k, float alpha,
-                 const float *a, const float *b, float beta, float *c);
-void gemmTNBlocked(int64_t m, int64_t n, int64_t k, float alpha,
-                   const float *a, const float *b, float beta, float *c);
-void gemmNTBlocked(int64_t m, int64_t n, int64_t k, float alpha,
-                   const float *a, const float *b, float beta, float *c);
-///@}
-
 /**
  * @name Pre-packed A panels
  *
@@ -96,7 +85,7 @@ void gemmPackA(int64_t m, int64_t k, float alpha, const float *a,
                float *pa);
 
 /** C = packedA * B + beta * C; B is KxN row-major, C MxN row-major.
- * Bit-identical to gemmBlocked(m, n, k, alpha, a, b, beta, c) for
+ * Bit-identical to gemm(m, n, k, alpha, a, b, beta, c) for
  * the alpha folded at pack time. */
 void gemmPackedA(int64_t m, int64_t n, int64_t k, const float *pa,
                  const float *b, float beta, float *c);
@@ -160,7 +149,7 @@ void gemmPackBStrided(int64_t k, int64_t n, const float *b, int64_t rs,
                       int64_t cs, float *pb);
 
 /** C = packedA * packedB + beta * C, with C row stride @p ldc.
- * Bit-identical to gemmBlocked for the same operands under the same
+ * Bit-identical to gemm for the same operands under the same
  * microkernel (same per-element accumulation order). */
 void gemmPackedAB(int64_t m, int64_t n, int64_t k, const float *pa,
                   const float *pb, float beta, float *c, int64_t ldc);

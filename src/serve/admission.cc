@@ -10,13 +10,9 @@ namespace scnn {
 namespace serve {
 
 AdmissionQueue::AdmissionQueue(const VirtualClock &clock,
-                               const AdmissionOptions &options,
                                const std::vector<int> &weights)
-    : clock_(clock), options_(options),
-      queues_(std::max<size_t>(weights.size(), 1))
+    : clock_(clock), queues_(std::max<size_t>(weights.size(), 1))
 {
-    SCNN_REQUIRE(options.capacity > 0,
-                 "admission capacity must be positive");
     const int64_t total_weight = std::max<int64_t>(
         std::accumulate(weights.begin(), weights.end(), int64_t{0}),
         1);
@@ -25,7 +21,7 @@ AdmissionQueue::AdmissionQueue(const VirtualClock &clock,
         SCNN_REQUIRE(weights[t] >= 1,
                      "tenant weight must be >= 1, got " << weights[t]);
         share_[t] = std::max<int64_t>(
-            1, options.capacity * weights[t] / total_weight);
+            1, kAdmissionCapacity * weights[t] / total_weight);
     }
 }
 
@@ -36,43 +32,20 @@ AdmissionQueue::submit(const Request &request)
                    static_cast<size_t>(request.tenant) <
                        queues_.size(),
                "tenant index out of range");
-    std::unique_lock<Mutex> lock(mu_);
+    MutexLock lock(mu_);
     if (shutdown_)
         return unavailable("admission queue is shut down");
-
-    auto hasSpace = [&] {
-        return total_ < options_.capacity &&
-               static_cast<int64_t>(
-                   queues_[static_cast<size_t>(request.tenant)]
-                       .size()) <
-                   share_[static_cast<size_t>(request.tenant)];
-    };
-
-    if (!hasSpace() && options_.block_on_full) {
-        // Closed-loop backpressure: hold the submitter until a slot
-        // frees, bounded so a wedged pipeline cannot hang clients.
-        const auto wall = std::chrono::duration<double>(
-            options_.block_timeout * clock_.timeScale());
-        space_cv_.wait_for(lock, wall, [&] {
-            return shutdown_ || hasSpace();
-        });
-        if (shutdown_)
-            return unavailable("admission queue is shut down");
-    }
-    if (!hasSpace()) {
-        const auto &q = queues_[static_cast<size_t>(request.tenant)];
+    auto &q = queues_[static_cast<size_t>(request.tenant)];
+    const int64_t share = share_[static_cast<size_t>(request.tenant)];
+    if (total_ >= kAdmissionCapacity)
+        return resourceExhausted("admission queue full (" +
+                                 std::to_string(total_) + " queued)");
+    if (static_cast<int64_t>(q.size()) >= share)
         return resourceExhausted(
-            total_ >= options_.capacity
-                ? "admission queue full (" +
-                      std::to_string(total_) + " queued)"
-                : "tenant '" + std::to_string(request.tenant) +
-                      "' is over its fair share (" +
-                      std::to_string(q.size()) + "/" +
-                      std::to_string(share_[static_cast<size_t>(
-                          request.tenant)]) +
-                      " slots)");
-    }
-    queues_[static_cast<size_t>(request.tenant)].push_back(request);
+            "tenant '" + std::to_string(request.tenant) +
+            "' is over its fair share (" + std::to_string(q.size()) +
+            "/" + std::to_string(share) + " slots)");
+    q.push_back(request);
     ++total_;
     work_cv_.notify_one();
     return Status();
@@ -89,8 +62,6 @@ AdmissionQueue::pop(int tenant, int64_t max_n)
         q.pop_front();
         --total_;
     }
-    if (!out.empty())
-        space_cv_.notify_all();
     return out;
 }
 
@@ -125,8 +96,6 @@ AdmissionQueue::sweepExpired(double now)
             }
         }
     }
-    if (!expired.empty())
-        space_cv_.notify_all();
     return expired;
 }
 
@@ -169,7 +138,6 @@ AdmissionQueue::shutdown()
     MutexLock lock(mu_);
     shutdown_ = true;
     work_cv_.notify_all();
-    space_cv_.notify_all();
 }
 
 } // namespace serve

@@ -5,10 +5,9 @@
  *
  * Each tenant owns a FIFO sub-queue capped at a weighted share of
  * the total capacity, so one hot tenant saturating its share sheds
- * (or blocks, in closed-loop mode) without starving anyone else's
- * slots. The batcher drains sub-queues round-robin; expired
- * requests are swept out by the watchdog and accounted
- * DeadlineExceeded, never silently dropped.
+ * at once without starving anyone else's slots. The batcher drains
+ * sub-queues round-robin; expired requests are swept out by the
+ * watchdog and accounted DeadlineExceeded, never silently dropped.
  */
 #ifndef SCNN_SERVE_ADMISSION_H
 #define SCNN_SERVE_ADMISSION_H
@@ -25,19 +24,8 @@
 namespace scnn {
 namespace serve {
 
-/** Admission-control knobs. */
-struct AdmissionOptions
-{
-    /** Total queued requests across all tenants. */
-    int64_t capacity = 256;
-    /**
-     * Closed-loop backpressure: a submit over the tenant's share
-     * blocks up to block_timeout virtual seconds for space instead
-     * of shedding immediately (open-loop mode sheds at once).
-     */
-    bool block_on_full = false;
-    double block_timeout = 0.05; ///< virtual seconds
-};
+/** Total queued requests across all tenants. */
+constexpr int64_t kAdmissionCapacity = 256;
 
 /** Per-tenant queue occupancy, for the batcher's policy loop. */
 struct TenantQueueState
@@ -52,11 +40,10 @@ class AdmissionQueue
   public:
     /**
      * @param weights one entry per tenant; tenant t's share of
-     *        @p options.capacity is proportional to weights[t]
+     *        kAdmissionCapacity is proportional to weights[t]
      *        (minimum 1 slot each).
      */
     AdmissionQueue(const VirtualClock &clock,
-                   const AdmissionOptions &options,
                    const std::vector<int> &weights);
 
     /**
@@ -67,8 +54,7 @@ class AdmissionQueue
      *          accounts the request as Shed; Unavailable after
      *          shutdown().
      */
-    Status submit(const Request &request)
-        SCNN_NO_THREAD_SAFETY_ANALYSIS; // space_cv_ wait loop
+    Status submit(const Request &request);
 
     /** Pop up to @p max_n requests of @p tenant, FIFO. */
     std::vector<Request> pop(int tenant, int64_t max_n);
@@ -103,12 +89,10 @@ class AdmissionQueue
 
   private:
     const VirtualClock &clock_;
-    AdmissionOptions options_;
     std::vector<int64_t> share_; ///< per-tenant slot cap
 
     mutable Mutex mu_;
-    CondVar work_cv_;  ///< queue became non-empty
-    CondVar space_cv_; ///< slots freed
+    CondVar work_cv_; ///< queue became non-empty
     std::vector<std::deque<Request>> queues_ SCNN_GUARDED_BY(mu_);
     int64_t total_ SCNN_GUARDED_BY(mu_) = 0;
     bool shutdown_ SCNN_GUARDED_BY(mu_) = false;

@@ -49,7 +49,7 @@ DynamicBatcher::next()
                 now - qs.oldest_arrival >= options_.max_linger;
             const bool deadline_close =
                 qs.oldest_deadline - now <=
-                options_.deadline_slack * profile.deadline;
+                kDeadlineSlack * profile.deadline;
             if (!(full || lingered || deadline_close || draining))
                 continue;
 

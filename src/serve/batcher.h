@@ -7,8 +7,8 @@
  * Policy per tenant, evaluated round-robin for fairness:
  *  - a full bucket (max_batch pending) flushes immediately;
  *  - a partial bucket flushes once its oldest request has lingered
- *    max_linger, or when that request's deadline is close enough
- *    that waiting longer would blow it;
+ *    max_linger, or when that request's deadline is within
+ *    kDeadlineSlack of the tenant's relative deadline;
  *  - the popped run is padded up to the next power-of-two bucket
  *    (padding slots are tracked, they waste compute not
  *    correctness).
@@ -27,16 +27,17 @@
 namespace scnn {
 namespace serve {
 
+/**
+ * Flush a partial bucket when its oldest member's deadline is within
+ * this fraction of the tenant's relative deadline.
+ */
+constexpr double kDeadlineSlack = 0.5;
+
 /** Batching knobs. */
 struct BatcherOptions
 {
     /** Virtual seconds a partial bucket waits for more requests. */
     double max_linger = 0.01;
-    /**
-     * Flush a partial bucket when its oldest member's deadline is
-     * within this fraction of the tenant's relative deadline.
-     */
-    double deadline_slack = 0.5;
 };
 
 /** One coalesced unit of execution. */

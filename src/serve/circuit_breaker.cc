@@ -17,11 +17,6 @@ breakerStateName(BreakerState state)
     return "unknown";
 }
 
-CircuitBreaker::CircuitBreaker(const BreakerOptions &options)
-    : options_(options)
-{
-}
-
 bool
 CircuitBreaker::allow(double now)
 {
@@ -54,10 +49,10 @@ CircuitBreaker::recordFailure(double now)
     probe_in_flight_ = false;
     ++consecutive_failures_;
     const bool tripped =
-        !open_ && consecutive_failures_ >= options_.failure_threshold;
+        !open_ && consecutive_failures_ >= kBreakerFailureThreshold;
     if (tripped || open_) {
         open_ = true;
-        open_until_ = now + options_.open_duration;
+        open_until_ = now + kBreakerOpenDuration;
     }
     return tripped;
 }
@@ -72,18 +67,13 @@ CircuitBreaker::state(double now) const
                              : BreakerState::HalfOpen;
 }
 
-BreakerRegistry::BreakerRegistry(const BreakerOptions &options)
-    : options_(options)
-{
-}
-
 CircuitBreaker &
 BreakerRegistry::of(const PlanKey &key)
 {
     MutexLock lock(mu_);
     auto &slot = breakers_[key];
     if (!slot)
-        slot = std::make_unique<CircuitBreaker>(options_);
+        slot = std::make_unique<CircuitBreaker>();
     return *slot;
 }
 

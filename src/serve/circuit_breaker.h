@@ -4,10 +4,11 @@
  *
  * A plan whose executions keep failing (poisoned cache entry,
  * persistently faulty device path) must not keep soaking up retry
- * budget: after failure_threshold consecutive failures the breaker
- * opens and execution routes around the plan (deeper rung or fail
- * fast) for open_duration virtual seconds. It then half-opens and
- * admits a single probe — success closes it, failure re-opens it.
+ * budget: after kBreakerFailureThreshold consecutive failures the
+ * breaker opens and execution routes around the plan (deeper rung or
+ * fail fast) for kBreakerOpenDuration virtual seconds. It then
+ * half-opens and admits a single probe — success closes it, failure
+ * re-opens it.
  */
 #ifndef SCNN_SERVE_CIRCUIT_BREAKER_H
 #define SCNN_SERVE_CIRCUIT_BREAKER_H
@@ -22,14 +23,10 @@
 namespace scnn {
 namespace serve {
 
-/** Breaker tuning. */
-struct BreakerOptions
-{
-    /** Consecutive failures that trip the breaker. */
-    int failure_threshold = 3;
-    /** Virtual seconds the breaker stays open before half-opening. */
-    double open_duration = 0.5;
-};
+/** Consecutive failures that trip the breaker. */
+constexpr int kBreakerFailureThreshold = 3;
+/** Virtual seconds the breaker stays open before half-opening. */
+constexpr double kBreakerOpenDuration = 0.5;
 
 enum class BreakerState
 {
@@ -44,8 +41,6 @@ const char *breakerStateName(BreakerState state);
 class CircuitBreaker
 {
   public:
-    explicit CircuitBreaker(const BreakerOptions &options);
-
     /**
      * May an execution attempt proceed at time @p now? Half-open
      * admits exactly one in-flight probe.
@@ -60,7 +55,6 @@ class CircuitBreaker
     BreakerState state(double now) const;
 
   private:
-    BreakerOptions options_;
     mutable Mutex mu_;
     int consecutive_failures_ SCNN_GUARDED_BY(mu_) = 0;
     bool open_ SCNN_GUARDED_BY(mu_) = false;
@@ -72,12 +66,9 @@ class CircuitBreaker
 class BreakerRegistry
 {
   public:
-    explicit BreakerRegistry(const BreakerOptions &options);
-
     CircuitBreaker &of(const PlanKey &key);
 
   private:
-    BreakerOptions options_;
     Mutex mu_;
     std::unordered_map<PlanKey, std::unique_ptr<CircuitBreaker>,
                        PlanKeyHash>

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "analysis/analyzer.h"
+#include "hmms/degradation.h"
 #include "models/models.h"
 #include "sim/profile.h"
 #include "sim/stream_sim.h"
@@ -14,27 +15,36 @@
 namespace scnn {
 namespace serve {
 
-const std::vector<SplitOptions> &
-servingDegradationLadder()
-{
-    static const std::vector<SplitOptions> ladder = {
-        SplitOptions{.depth = 0.5, .splits_h = 2, .splits_w = 2},
-        SplitOptions{.depth = 1.0, .splits_h = 2, .splits_w = 2},
-        SplitOptions{.depth = 1.0, .splits_h = 3, .splits_w = 3},
-        SplitOptions{.depth = 1.0, .splits_h = 4, .splits_w = 4},
-    };
-    return ladder;
-}
+namespace {
+
+/** Plans the LRU plan cache holds. */
+constexpr size_t kPlanCacheCapacity = 32;
+/** Failed execution attempts retried per batch. */
+constexpr int kMaxRetries = 3;
+/** Retry i (from 1) backs off retry_backoff * kRetryBackoffGrowth^(i-1)
+ * virtual seconds, scaled by 1 + kRetryJitter * U(-1, 1) drawn
+ * deterministically. */
+constexpr double kRetryBackoffGrowth = 2.0;
+constexpr double kRetryJitter = 0.5;
+/** A degraded tenant steps one rung back up after kRecoverAfter
+ * clean batches below kRecoverBelowUtilization device reservation. */
+constexpr int kRecoverAfter = 8;
+constexpr double kRecoverBelowUtilization = 0.5;
+/** The watchdog kills an attempt running longer than
+ * kWatchdogGrace * its expected time + watchdog_interval. */
+constexpr double kWatchdogGrace = 6.0;
+
+} // namespace
 
 int
 servingMaxRungs()
 {
-    return 1 + static_cast<int>(servingDegradationLadder().size());
+    return 1 + static_cast<int>(splitDegradationLadder().size());
 }
 
 StatusOr<PlanPtr>
 buildServingPlan(const TenantProfile &profile, int64_t batch,
-                 const DeviceSpec &spec, int rung, bool verify)
+                 const DeviceSpec &spec, int rung)
 {
     if (rung < 0 || rung >= servingMaxRungs())
         return invalidArgument("degradation rung " +
@@ -53,25 +63,11 @@ buildServingPlan(const TenantProfile &profile, int64_t batch,
             pc.offload_cap =
                 profileForwardPass(g, spec).offloadable_fraction;
         } else {
-            sopt = servingDegradationLadder()
+            sopt = splitDegradationLadder()
                 [static_cast<size_t>(rung - 1)];
-            // Mirror the degradation chain's feasibility guard: a
-            // grid finer than the join tensor cannot split.
-            const int cut = chooseCutPoint(g, sopt.depth);
-            if (cut < 0)
-                return invalidArgument(
-                    "rung " + std::to_string(rung) +
-                    ": no split cut point for '" + profile.model +
-                    "'");
-            const Shape &join =
-                g.tensor(
-                     g.cutPoints()[static_cast<size_t>(cut)].tensor)
-                    .shape;
-            if (join.dim(2) < sopt.splits_h ||
-                join.dim(3) < sopt.splits_w)
-                return invalidArgument(
-                    "rung " + std::to_string(rung) +
-                    ": split grid exceeds the join extent");
+            SCNN_RETURN_IF_ERROR(splitRungFeasible(g, sopt).withContext(
+                "rung " + std::to_string(rung) + " of '" +
+                profile.model + "'"));
             g = splitCnnTransform(g, sopt);
             split_applied = true;
             pc.offload_cap = 1.0;
@@ -89,21 +85,18 @@ buildServingPlan(const TenantProfile &profile, int64_t batch,
         StaticMemoryPlan memory =
             planStaticMemory(g, assignment, plan, pc.backward);
 
-        if (verify) {
-            // Never serve a plan `scnn lint` would reject.
-            AnalyzerOptions lint_options;
-            lint_options.backward = pc.backward;
-            const auto diags = analyzePlan(g, assignment, plan,
-                                           memory, lint_options);
-            const int errors =
-                countBySeverity(diags, DiagSeverity::Error);
-            if (errors > 0)
-                return internalError(
-                    "plan for " + profile.model + "/b" +
-                    std::to_string(batch) + " rung " +
-                    std::to_string(rung) + " failed lint with " +
-                    std::to_string(errors) + " error(s)");
-        }
+        // Never serve a plan `scnn lint` would reject.
+        AnalyzerOptions lint_options;
+        lint_options.backward = pc.backward;
+        const auto diags =
+            analyzePlan(g, assignment, plan, memory, lint_options);
+        const int errors = countBySeverity(diags, DiagSeverity::Error);
+        if (errors > 0)
+            return internalError(
+                "plan for " + profile.model + "/b" +
+                std::to_string(batch) + " rung " +
+                std::to_string(rung) + " failed lint with " +
+                std::to_string(errors) + " error(s)");
 
         SCNN_ASSIGN_OR_RETURN(
             SimResult sim,
@@ -140,8 +133,7 @@ ServingEngine::ServingEngine(std::vector<TenantProfile> tenants,
     weights.reserve(tenants_.size());
     for (const TenantProfile &t : tenants_)
         weights.push_back(t.weight);
-    queue_ = std::make_unique<AdmissionQueue>(
-        clock_, options_.admission, weights);
+    queue_ = std::make_unique<AdmissionQueue>(clock_, weights);
     batcher_ = std::make_unique<DynamicBatcher>(
         clock_, *queue_, tenants_, options_.batcher);
     cache_ = std::make_unique<PlanCache>(
@@ -157,11 +149,10 @@ ServingEngine::ServingEngine(std::vector<TenantProfile> tenants,
                     notFound("no tenant serves model '" +
                              key.model + "'"));
             return buildServingPlan(*profile, key.batch,
-                                    options_.device, key.rung,
-                                    options_.verify_plans);
+                                    options_.device, key.rung);
         },
-        options_.plan_cache_capacity, &stats_);
-    breakers_ = std::make_unique<BreakerRegistry>(options_.breaker);
+        kPlanCacheCapacity, &stats_);
+    breakers_ = std::make_unique<BreakerRegistry>();
     governor_ = std::make_unique<MemoryGovernor>(
         clock_, options_.device.memory_capacity);
     for (size_t t = 0; t < tenants_.size(); ++t)
@@ -231,7 +222,7 @@ ServingEngine::setOnComplete(
 {
     SCNN_CHECK(!started_,
                "setOnComplete must run before start()");
-    options_.on_complete = std::move(cb);
+    on_complete_ = std::move(cb);
 }
 
 uint64_t
@@ -275,8 +266,8 @@ ServingEngine::finish(const Request &request, Outcome outcome,
     stats_.recordOutcome(request.tenant, outcome);
     if (outcome == Outcome::Completed)
         stats_.recordLatency(request.tenant, latency);
-    if (options_.on_complete)
-        options_.on_complete(request, outcome, latency);
+    if (on_complete_)
+        on_complete_(request, outcome, latency);
 }
 
 void
@@ -492,7 +483,7 @@ ServingEngine::executeBatch(Batch &&batch)
             ++stats_.breaker_trips;
             cache_->invalidate(key);
         }
-        if (attempts >= options_.max_retries) {
+        if (attempts >= kMaxRetries) {
             failure = unavailable(
                 "batch " + std::to_string(batch.id) + " on " +
                 key.toString() + " failed after " +
@@ -501,12 +492,11 @@ ServingEngine::executeBatch(Batch &&batch)
         }
         ++attempts;
         ++stats_.retries;
-        double backoff =
-            options_.retry_backoff *
-            std::pow(options_.retry_backoff_growth, attempts - 1);
+        double backoff = options_.retry_backoff *
+                         std::pow(kRetryBackoffGrowth, attempts - 1);
         const double bu = faultUniform(
             options_.seed, kFaultStreamServe, fault_index_++);
-        backoff *= 1.0 + options_.retry_jitter * (2.0 * bu - 1.0);
+        backoff *= 1.0 + kRetryJitter * (2.0 * bu - 1.0);
         flight->expected.store(backoff);
         flight->attempt_started.store(clock_.now());
         if (!clock_.sleepFor(backoff, flight->cancel)) {
@@ -544,10 +534,8 @@ ServingEngine::executeBatch(Batch &&batch)
     // Recovery: after enough clean batches at low memory pressure,
     // step one rung back toward the undergraded plan.
     if (rung > 0 &&
-        governor_->utilization() <
-            options_.recover_below_utilization) {
-        if (ts.clean_batches.fetch_add(1) + 1 >=
-            options_.recover_after) {
+        governor_->utilization() < kRecoverBelowUtilization) {
+        if (ts.clean_batches.fetch_add(1) + 1 >= kRecoverAfter) {
             ts.clean_batches.store(0);
             ts.rung.store(rung - 1);
         }
@@ -571,7 +559,7 @@ ServingEngine::watchdogLoop()
             if (flight->cancel.load())
                 continue;
             const double budget =
-                options_.watchdog_grace * flight->expected.load() +
+                kWatchdogGrace * flight->expected.load() +
                 options_.watchdog_interval;
             if (now > flight->attempt_started.load() + budget) {
                 flight->cancel.store(true);

@@ -52,26 +52,21 @@ namespace scnn {
 namespace serve {
 
 /**
- * The engine's Split-CNN degradation ladder: rung 0 is the unsplit
- * HMMS plan at the profiled offload cap; rungs 1..4 apply
- * progressively finer splits at full cap (mirrors
- * hmms/degradation.h).
+ * Total rungs: rung 0 is the unsplit HMMS plan at the profiled
+ * offload cap; rungs 1.. are splitDegradationLadder() at full cap.
  */
-const std::vector<SplitOptions> &servingDegradationLadder();
-
-/** Total rungs: 1 (unsplit) + ladder size. */
 int servingMaxRungs();
 
 /**
  * Build, verify, and time one serving plan: the default PlanCache
  * builder. Fails with InvalidArgument when @p rung is infeasible
- * for the model geometry (the engine walks past such rungs),
- * Internal when the built plan fails the static verifier.
+ * for the model geometry (splitRungFeasible; the engine walks past
+ * such rungs), Internal when the built plan fails the static
+ * verifier.
  */
 StatusOr<PlanPtr> buildServingPlan(const TenantProfile &profile,
                                    int64_t batch,
-                                   const DeviceSpec &spec, int rung,
-                                   bool verify = true);
+                                   const DeviceSpec &spec, int rung);
 
 /** Engine configuration. */
 struct EngineOptions
@@ -82,10 +77,7 @@ struct EngineOptions
     /** Batch-execution worker threads. */
     int workers = 2;
 
-    AdmissionOptions admission;
     BatcherOptions batcher;
-    BreakerOptions breaker;
-    size_t plan_cache_capacity = 32;
 
     /** Walk the degradation ladder under memory pressure. */
     bool enable_degradation = true;
@@ -95,34 +87,12 @@ struct EngineOptions
      */
     double memory_reserve_timeout = 0.05;
 
-    /** Failed execution attempts retried per batch. */
-    int max_retries = 3;
     double retry_backoff = 0.005; ///< virtual seconds, first retry
-    double retry_backoff_growth = 2.0;
-    /** Backoff *= 1 + jitter * U(-1, 1), deterministic. */
-    double retry_jitter = 0.5;
-
-    /** Clean batches at low pressure before stepping a rung back. */
-    int recover_after = 8;
-    double recover_below_utilization = 0.5;
-
     double watchdog_interval = 0.02; ///< virtual seconds
-    /** Kill an attempt after grace * expected + interval. */
-    double watchdog_grace = 6.0;
-
-    /** Run the static verifier over every built plan. */
-    bool verify_plans = true;
 
     /** Chaos schedule; default-constructed = no injected faults. */
     FaultPlan faults;
     uint64_t seed = 1;
-
-    /**
-     * Invoked once per request at its terminal outcome (latency in
-     * virtual seconds, meaningful for Completed). Called from
-     * engine threads; must not re-enter the engine destructor.
-     */
-    std::function<void(const Request &, Outcome, double)> on_complete;
 };
 
 class ServingEngine
@@ -151,9 +121,11 @@ class ServingEngine
     uint64_t submit(int tenant, double relative_deadline);
 
     /**
-     * Replace the terminal-outcome callback. Must be called before
-     * start() (the load generator needs the engine to exist before
-     * it can capture it).
+     * Install the terminal-outcome callback, invoked once per request
+     * (latency in virtual seconds, meaningful for Completed) from
+     * engine threads; it must not re-enter the engine destructor.
+     * Must be called before start() (the load generator needs the
+     * engine to exist before it can capture it).
      */
     void setOnComplete(
         std::function<void(const Request &, Outcome, double)> cb);
@@ -215,6 +187,7 @@ class ServingEngine
 
     std::vector<TenantProfile> tenants_;
     EngineOptions options_;
+    std::function<void(const Request &, Outcome, double)> on_complete_;
     VirtualClock clock_;
     ServeStats stats_;
     uint64_t spec_digest_ = 0;

@@ -130,7 +130,7 @@ Executor::Executor(const Graph &graph, ParamStore &params)
 
 Tensor
 Executor::computeNode(const Node &n, const Tensor &input, bool training,
-                      bool defer_bn_updates, ForwardCache &c)
+                      ForwardCache &c)
 {
     auto val = [&](TensorId t) -> const Tensor & {
         SCNN_CHECK(c.values[static_cast<size_t>(t)].has_value(),
@@ -165,21 +165,14 @@ Executor::computeNode(const Node &n, const Tensor &input, bool training,
         out = globalAvgPoolForward(val(n.inputs[0]));
         break;
       case OpKind::BatchNorm:
-        if (training && defer_bn_updates) {
-            // Batch stats only; the caller applies the running-stat
-            // updates serially afterwards. Required when nodes
-            // sharing running stats (split-graph patch clones) run
+        if (training) {
+            // Batch stats only; forward applies the running-stat
+            // updates serially afterwards, because nodes sharing
+            // running stats (split-graph patch clones) may run
             // concurrently.
             out = batchNormForwardStats(
                 val(n.inputs[0]), params_.value(n.params[0]),
                 params_.value(n.params[1]), 1e-5f,
-                c.bn[static_cast<size_t>(n.id)]);
-        } else if (training) {
-            out = batchNormForward(
-                val(n.inputs[0]), params_.value(n.params[0]),
-                params_.value(n.params[1]),
-                params_.value(n.params[2]),
-                params_.value(n.params[3]), 0.1f, 1e-5f,
                 c.bn[static_cast<size_t>(n.id)]);
         } else {
             out = batchNormInference(val(n.inputs[0]),
@@ -239,66 +232,48 @@ Executor::forward(const Tensor &input, bool training, ForwardCache *cache)
     c.argmax.assign(graph_.nodes().size(), {});
     c.bn.assign(graph_.nodes().size(), {});
 
-    if (globalThreads() <= 1) {
-        // Serial path: identical to the seed executor.
+    // Nodes within a wave are independent and write disjoint cache
+    // slots, so each wave fans out across the pool (at one thread,
+    // parallelFor runs it inline in wave order). Batchnorm
+    // running-stat updates are deferred and applied serially below
+    // in topological order — training-mode BN never reads running
+    // stats, so outputs are unchanged and the updates compound in
+    // the same order at any thread count.
+    auto &pool = globalPool();
+    auto run = [&](NodeId id) {
+        const Node &n = graph_.node(id);
+        c.values[static_cast<size_t>(n.output)] =
+            computeNode(n, input, training, c);
+    };
+    for (const auto &wave : waves_) {
+        if (static_cast<int>(wave.size()) < pool.threads()) {
+            // Narrow wave: fewer nodes than workers. Nested
+            // parallelFor calls run inline on their worker, so
+            // fanning such a wave across the pool would strand each
+            // node's internal kernel parallelism (GEMM column tiles,
+            // split patch x row-tile items) on a single thread. Run
+            // the nodes serially on the caller instead so every
+            // kernel sees the full pool. Outputs are unchanged either
+            // way: kernels are bitwise-deterministic for any thread
+            // count.
+            for (NodeId id : wave)
+                run(id);
+            continue;
+        }
+        pool.parallelFor(static_cast<int64_t>(wave.size()),
+                         [&](int64_t begin, int64_t end) {
+                             for (int64_t i = begin; i < end; ++i)
+                                 run(wave[static_cast<size_t>(i)]);
+                         });
+    }
+    if (training) {
         for (NodeId id : topo_) {
             const Node &n = graph_.node(id);
-            Tensor out = computeNode(n, input, training,
-                                     /*defer_bn_updates=*/false, c);
-            c.values[static_cast<size_t>(n.output)] = std::move(out);
-        }
-    } else {
-        // Wave-parallel path: nodes within a wave are independent and
-        // write disjoint cache slots, so each wave fans out across
-        // the pool. Batchnorm running-stat updates are deferred and
-        // applied serially below in topological order — training-mode
-        // BN never reads running stats, so outputs are unchanged and
-        // the updates compound exactly as the serial path's.
-        auto &pool = globalPool();
-        for (const auto &wave : waves_) {
-            if (static_cast<int>(wave.size()) < pool.threads()) {
-                // Narrow wave: fewer nodes than workers. Nested
-                // parallelFor calls run inline on their worker, so
-                // fanning such a wave across the pool would strand
-                // each node's internal kernel parallelism (GEMM
-                // column tiles, split patch x row-tile items) on a
-                // single thread. Run the nodes serially on the
-                // caller instead so every kernel sees the full pool.
-                // Outputs are unchanged either way: kernels are
-                // bitwise-deterministic for any thread count.
-                for (NodeId id : wave) {
-                    const Node &n = graph_.node(id);
-                    Tensor out =
-                        computeNode(n, input, training,
-                                    /*defer_bn_updates=*/true, c);
-                    c.values[static_cast<size_t>(n.output)] =
-                        std::move(out);
-                }
-                continue;
-            }
-            pool.parallelFor(
-                static_cast<int64_t>(wave.size()),
-                [&](int64_t begin, int64_t end) {
-                    for (int64_t i = begin; i < end; ++i) {
-                        const Node &n = graph_.node(
-                            wave[static_cast<size_t>(i)]);
-                        Tensor out =
-                            computeNode(n, input, training,
-                                        /*defer_bn_updates=*/true, c);
-                        c.values[static_cast<size_t>(n.output)] =
-                            std::move(out);
-                    }
-                });
-        }
-        if (training) {
-            for (NodeId id : topo_) {
-                const Node &n = graph_.node(id);
-                if (n.kind == OpKind::BatchNorm)
-                    applyBatchNormRunningUpdate(
-                        c.bn[static_cast<size_t>(id)], 0.1f,
-                        params_.value(n.params[2]),
-                        params_.value(n.params[3]));
-            }
+            if (n.kind == OpKind::BatchNorm)
+                applyBatchNormRunningUpdate(
+                    c.bn[static_cast<size_t>(id)], 0.1f,
+                    params_.value(n.params[2]),
+                    params_.value(n.params[3]));
         }
     }
 

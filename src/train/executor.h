@@ -102,13 +102,13 @@ class Executor
 
   private:
     /**
-     * Evaluate one node from cached input values. With
-     * @p defer_bn_updates, training-mode batchnorm computes batch
-     * statistics but leaves the running stats untouched (the caller
-     * applies them later, serially, in topological order).
+     * Evaluate one node from cached input values. Training-mode
+     * batchnorm computes batch statistics but leaves the running
+     * stats untouched (forward applies them after the last wave,
+     * serially, in topological order).
      */
     Tensor computeNode(const Node &n, const Tensor &input, bool training,
-                       bool defer_bn_updates, ForwardCache &c);
+                       ForwardCache &c);
 
     const Graph &graph_;
     ParamStore &params_;

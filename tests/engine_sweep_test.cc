@@ -321,16 +321,6 @@ engineAvgPool(const Case &cs, const Inputs &in)
 }
 
 Tensor
-engineMaxPoolBackward(const Case &cs, const Inputs &in,
-                      const std::vector<int64_t> &argmax)
-{
-    if (cs.unsplit)
-        return maxPool2dBackward(in.x.shape(), in.go_pool, argmax);
-    return splitMaxPool2dBackward(in.x.shape(), in.go_pool, argmax,
-                                  cs.scheme);
-}
-
-Tensor
 engineAvgPoolBackward(const Case &cs, const Inputs &in)
 {
     if (cs.unsplit)
@@ -432,8 +422,9 @@ checkPoolBackward(const std::vector<Case> &cases, uint64_t seed)
             in.x.shape(), in.go_pool, cs.win, cs.scheme);
         for (int threads : {1, 2, 4}) {
             ThreadGuard g(threads);
-            EXPECT_TRUE(bitwiseEqual(engineMaxPoolBackward(cs, in, argmax),
-                                     ref_max))
+            EXPECT_TRUE(bitwiseEqual(
+                maxPool2dBackward(in.x.shape(), in.go_pool, argmax),
+                ref_max))
                 << cs.name << " max @" << threads << "t";
             EXPECT_TRUE(
                 bitwiseEqual(engineAvgPoolBackward(cs, in), ref_avg))

@@ -584,6 +584,25 @@ TEST(Degradation, ExhaustedChainNeverRevisitsARung)
     }
 }
 
+TEST(Degradation, HonoursInitialBackwardOptions)
+{
+    // Every rung, the "initial" one included, plans with the caller's
+    // backward options, and the returned config carries them.
+    const Graph g = smallVgg();
+    PlannerConfig initial{PlannerKind::Hmms, 1.0, {}};
+    initial.backward.recompute_bn = true;
+    DegradationReport report;
+    auto result = planWithDegradation(g, DeviceSpec{}, initial, &report);
+    ASSERT_TRUE(result.ok()) << result.status().toString();
+    EXPECT_EQ(report.attempts.size(), 1u);
+    EXPECT_TRUE(result.value().config.backward.recompute_bn);
+    const DegradedPlan &dp = result.value();
+    EXPECT_TRUE(checkResidency(dp.graph, dp.assignment, dp.plan,
+                               dp.memory, dp.config.backward)
+                    .value()
+                    .ok());
+}
+
 TEST(Degradation, EveryEmittedRungRebuildsLintClean)
 {
     // Rebuild the exact plan of every rung the chain walked and run

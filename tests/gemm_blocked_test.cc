@@ -125,11 +125,11 @@ TEST(GemmBlocked, MatchesNaiveWithinTolerance)
     for (const auto &cs : kCases)
         for (float alpha : kAlphas)
             for (float beta : kBetas) {
-                compareKernels(gemmNaive, gemmBlocked, cs.m, cs.n,
+                compareKernels(gemmNaive, gemm, cs.m, cs.n,
                                cs.k, alpha, beta, ++seed, false);
-                compareKernels(gemmTNNaive, gemmTNBlocked, cs.m, cs.n,
+                compareKernels(gemmTNNaive, gemmTN, cs.m, cs.n,
                                cs.k, alpha, beta, ++seed, false);
-                compareKernels(gemmNTNaive, gemmNTBlocked, cs.m, cs.n,
+                compareKernels(gemmNTNaive, gemmNT, cs.m, cs.n,
                                cs.k, alpha, beta, ++seed, false);
             }
 }
@@ -147,17 +147,17 @@ TEST(GemmBlocked, BitwiseIdenticalToNaive)
     for (const auto &cs : kCases)
         for (float alpha : kAlphas)
             for (float beta : kBetas) {
-                compareKernels(gemmNaive, gemmBlocked, cs.m, cs.n,
+                compareKernels(gemmNaive, gemm, cs.m, cs.n,
                                cs.k, alpha, beta, ++seed, true);
-                compareKernels(gemmTNNaive, gemmTNBlocked, cs.m, cs.n,
+                compareKernels(gemmTNNaive, gemmTN, cs.m, cs.n,
                                cs.k, alpha, beta, ++seed, true);
-                compareKernels(gemmNTNaive, gemmNTBlocked, cs.m, cs.n,
+                compareKernels(gemmNTNaive, gemmNT, cs.m, cs.n,
                                cs.k, alpha, beta, ++seed, true);
             }
 }
 
-/** The dispatchers must agree with the naive reference regardless of
- * which implementation they pick (size heuristic). */
+/** Each layout at the alpha/beta the engine calls it with (NN and NT
+ * overwrite, TN accumulates) agrees with the naive reference. */
 TEST(GemmBlocked, DispatchersBitwiseStable)
 {
     ScopedSimd scalar(false);
@@ -193,15 +193,15 @@ TEST(GemmBlocked, SimdMatchesScalarWithinTolerance)
         std::vector<float> c_scalar = c0;
         {
             ScopedSimd scalar(false);
-            gemmBlocked(cs.m, cs.n, cs.k, 1.0f, a.data(), b.data(),
+            gemm(cs.m, cs.n, cs.k, 1.0f, a.data(), b.data(),
                         0.5f, c_scalar.data());
         }
         std::vector<float> c_simd = c0, c_simd2 = c0;
         {
             ScopedSimd simd(true);
-            gemmBlocked(cs.m, cs.n, cs.k, 1.0f, a.data(), b.data(),
+            gemm(cs.m, cs.n, cs.k, 1.0f, a.data(), b.data(),
                         0.5f, c_simd.data());
-            gemmBlocked(cs.m, cs.n, cs.k, 1.0f, a.data(), b.data(),
+            gemm(cs.m, cs.n, cs.k, 1.0f, a.data(), b.data(),
                         0.5f, c_simd2.data());
         }
         ASSERT_EQ(0, std::memcmp(c_simd.data(), c_simd2.data(),
@@ -240,7 +240,7 @@ TEST(GemmBlocked, PackedAReuseBitwiseMatchesBlocked)
 
             std::vector<float> c_ref(
                 static_cast<size_t>(cs.m * cs.n), 0.0f);
-            gemmBlocked(cs.m, cs.n, cs.k, 1.0f, a.data(), b.data(),
+            gemm(cs.m, cs.n, cs.k, 1.0f, a.data(), b.data(),
                         0.0f, c_ref.data());
 
             AlignedBuf pa(gemmPackedASize(cs.m, cs.k));
@@ -286,7 +286,7 @@ TEST(PackedB, ReplayMatchesBlocked)
 
             std::vector<float> c_ref(
                 static_cast<size_t>(cs.m * cs.n), 0.0f);
-            gemmBlocked(cs.m, cs.n, cs.k, 1.0f, a.data(), b.data(),
+            gemm(cs.m, cs.n, cs.k, 1.0f, a.data(), b.data(),
                         0.0f, c_ref.data());
 
             AlignedBuf pa(gemmPackedASize(cs.m, cs.k));

@@ -403,9 +403,10 @@ TEST(ParallelDeterminism, SplitConvBackwardBitwiseAcrossThreads)
 
 TEST(ParallelDeterminism, SplitPoolBackwardBitwiseAcrossThreads)
 {
-    // Image-parallel scatter with patches serial ascending inside
-    // each image: halo accumulation order is pinned per image, so
-    // both split pool backwards are bitwise across thread counts.
+    // Image-parallel scatter, each image's outputs (max) or patches
+    // (avg) serial ascending inside it: halo accumulation order is
+    // pinned per image, so both pool backwards are bitwise across
+    // thread counts.
     Rng rng(29);
     Tensor x(Shape{5, 4, 17, 15});
     x.fillNormal(rng, 0.0f, 1.0f);
@@ -421,15 +422,13 @@ TEST(ParallelDeterminism, SplitPoolBackwardBitwiseAcrossThreads)
     Tensor max1, avg1;
     {
         ThreadGuard g(1);
-        max1 = splitMaxPool2dBackward(x.shape(), go, argmax,
-                                           scheme);
+        max1 = maxPool2dBackward(x.shape(), go, argmax);
         avg1 = splitAvgPool2dBackward(x.shape(), go, win,
                                            scheme);
     }
     for (int threads : {2, 4, 8}) {
         ThreadGuard g(threads);
-        const Tensor maxg = splitMaxPool2dBackward(
-            x.shape(), go, argmax, scheme);
+        const Tensor maxg = maxPool2dBackward(x.shape(), go, argmax);
         const Tensor avgg =
             splitAvgPool2dBackward(x.shape(), go, win, scheme);
         EXPECT_TRUE(bitwiseEqual(maxg, max1)) << threads << " threads";

@@ -163,26 +163,25 @@ TEST(ServeStats, PercentilesInterpolate)
 TEST(ServeAdmission, ShedsWhenTenantShareIsFull)
 {
     VirtualClock clock(0.001);
-    AdmissionOptions options;
-    options.capacity = 4;
-    AdmissionQueue queue(clock, options, {1, 1});
-    EXPECT_EQ(queue.shareOf(0), 2);
-    EXPECT_EQ(queue.shareOf(1), 2);
+    AdmissionQueue queue(clock, {1, 1});
+    const int64_t share = kAdmissionCapacity / 2;
+    EXPECT_EQ(queue.shareOf(0), share);
+    EXPECT_EQ(queue.shareOf(1), share);
 
     Request r;
     r.tenant = 0;
-    EXPECT_TRUE(queue.submit(r).ok());
-    EXPECT_TRUE(queue.submit(r).ok());
+    for (int64_t i = 0; i < share; ++i)
+        EXPECT_TRUE(queue.submit(r).ok());
     // Tenant 0's share is exhausted; the queue itself is not.
     const Status over = queue.submit(r);
     EXPECT_EQ(over.code(), StatusCode::ResourceExhausted);
     // Tenant 1 is unaffected by tenant 0's overload.
     r.tenant = 1;
     EXPECT_TRUE(queue.submit(r).ok());
-    EXPECT_EQ(queue.size(), 3);
+    EXPECT_EQ(queue.size(), share + 1);
 
     // Popping frees the share again.
-    EXPECT_EQ(queue.pop(0, 8).size(), 2u);
+    EXPECT_EQ(queue.pop(0, share).size(), static_cast<size_t>(share));
     r.tenant = 0;
     EXPECT_TRUE(queue.submit(r).ok());
 }
@@ -190,7 +189,7 @@ TEST(ServeAdmission, ShedsWhenTenantShareIsFull)
 TEST(ServeAdmission, SweepExpiredCollectsOnlyExpired)
 {
     VirtualClock clock(0.001);
-    AdmissionQueue queue(clock, {}, {1});
+    AdmissionQueue queue(clock, {1});
     Request fresh;
     fresh.id = 1;
     fresh.tenant = 0;
@@ -210,7 +209,7 @@ TEST(ServeAdmission, SweepExpiredCollectsOnlyExpired)
 TEST(ServeAdmission, ShutdownRefusesSubmissions)
 {
     VirtualClock clock(0.001);
-    AdmissionQueue queue(clock, {}, {1});
+    AdmissionQueue queue(clock, {1});
     queue.shutdown();
     Request r;
     r.tenant = 0;
@@ -328,48 +327,47 @@ TEST(ServePlanCache, InvalidateForcesReplan)
 
 TEST(ServeBreaker, TripsAfterThresholdAndHalfOpens)
 {
-    BreakerOptions options;
-    options.failure_threshold = 3;
-    options.open_duration = 1.0;
-    CircuitBreaker breaker(options);
+    static_assert(kBreakerFailureThreshold == 3);
+    const double open = kBreakerOpenDuration;
+    CircuitBreaker breaker;
     EXPECT_EQ(breaker.state(0.0), BreakerState::Closed);
     EXPECT_FALSE(breaker.recordFailure(0.0));
     EXPECT_FALSE(breaker.recordFailure(0.0));
     EXPECT_TRUE(breaker.recordFailure(0.0)); // third failure trips
-    EXPECT_EQ(breaker.state(0.5), BreakerState::Open);
-    EXPECT_FALSE(breaker.allow(0.5));
+    EXPECT_EQ(breaker.state(0.5 * open), BreakerState::Open);
+    EXPECT_FALSE(breaker.allow(0.5 * open));
 
     // After the cooldown: half-open, exactly one probe admitted.
-    EXPECT_EQ(breaker.state(1.5), BreakerState::HalfOpen);
-    EXPECT_TRUE(breaker.allow(1.5));
-    EXPECT_FALSE(breaker.allow(1.6));
+    EXPECT_EQ(breaker.state(1.5 * open), BreakerState::HalfOpen);
+    EXPECT_TRUE(breaker.allow(1.5 * open));
+    EXPECT_FALSE(breaker.allow(1.6 * open));
     breaker.recordSuccess();
-    EXPECT_EQ(breaker.state(1.7), BreakerState::Closed);
-    EXPECT_TRUE(breaker.allow(1.7));
+    EXPECT_EQ(breaker.state(1.7 * open), BreakerState::Closed);
+    EXPECT_TRUE(breaker.allow(1.7 * open));
 }
 
 TEST(ServeBreaker, FailedProbeReopens)
 {
-    BreakerOptions options;
-    options.failure_threshold = 1;
-    options.open_duration = 1.0;
-    CircuitBreaker breaker(options);
+    const double open = kBreakerOpenDuration;
+    CircuitBreaker breaker;
+    for (int i = 1; i < kBreakerFailureThreshold; ++i)
+        EXPECT_FALSE(breaker.recordFailure(0.0));
     EXPECT_TRUE(breaker.recordFailure(0.0));
-    ASSERT_TRUE(breaker.allow(1.5)); // half-open probe
+    ASSERT_TRUE(breaker.allow(1.5 * open)); // half-open probe
     // A failed probe re-opens (recordFailure reports a *new* trip
     // only from the closed state, so it returns false here).
-    EXPECT_FALSE(breaker.recordFailure(1.5));
-    EXPECT_EQ(breaker.state(1.6), BreakerState::Open);
-    EXPECT_FALSE(breaker.allow(1.6));
+    EXPECT_FALSE(breaker.recordFailure(1.5 * open));
+    EXPECT_EQ(breaker.state(1.6 * open), BreakerState::Open);
+    EXPECT_FALSE(breaker.allow(1.6 * open));
     // Successes fully reset the failure streak.
-    ASSERT_TRUE(breaker.allow(3.0));
+    ASSERT_TRUE(breaker.allow(3.0 * open));
     breaker.recordSuccess();
-    EXPECT_EQ(breaker.state(3.0), BreakerState::Closed);
+    EXPECT_EQ(breaker.state(3.0 * open), BreakerState::Closed);
 }
 
 TEST(ServeBreaker, RegistryKeysBreakersByPlan)
 {
-    BreakerRegistry registry({});
+    BreakerRegistry registry;
     const PlanKey a{"m", 8, 0, 0}, b{"m", 8, 0, 1};
     EXPECT_EQ(&registry.of(a), &registry.of(a));
     EXPECT_NE(&registry.of(a), &registry.of(b));
@@ -542,7 +540,6 @@ TEST(ServeEngine, WatchdogKillsHungBatches)
         testTenant("a", testDeadline())};
     EngineOptions options = testOptions();
     options.faults.serve_hang_rate = 1.0; // every attempt wedges
-    options.max_retries = 0;
     ServingEngine engine(tenants, options);
     ASSERT_TRUE(engine.start().ok());
     for (int i = 0; i < 4; ++i)
@@ -552,9 +549,33 @@ TEST(ServeEngine, WatchdogKillsHungBatches)
     EXPECT_EQ(s.accountingLeak(), 0);
     EXPECT_EQ(s.completed, 0u);
     EXPECT_GT(s.watchdog_kills, 0u);
+    // A watchdog kill fails the batch at once; only transient
+    // failures are retried.
+    EXPECT_EQ(s.retries, 0u);
     // Killed batches surface as Failed (or DeadlineExceeded when
     // the deadline fires first) — never as silent losses.
     EXPECT_EQ(s.failed + s.deadline_exceeded, 4u);
+}
+
+TEST(ServeEngine, PersistentFailuresExhaustBoundedRetries)
+{
+    std::vector<TenantProfile> tenants = {
+        testTenant("a", testDeadline())};
+    EngineOptions options = testOptions();
+    options.faults.transfer_failure_rate = 1.0; // every attempt fails
+    ServingEngine engine(tenants, options);
+    ASSERT_TRUE(engine.start().ok());
+    for (int i = 0; i < 4; ++i)
+        engine.submit(0);
+    engine.drain();
+    const StatsSnapshot s = engine.snapshot();
+    EXPECT_EQ(s.accountingLeak(), 0);
+    EXPECT_EQ(s.completed, 0u);
+    // Retries are bounded: the batch fails instead of looping, and
+    // its failure streak trips the plan's breaker on the way.
+    EXPECT_GT(s.retries, 0u);
+    EXPECT_GT(s.breaker_trips, 0u);
+    EXPECT_EQ(s.failed + s.shed + s.deadline_exceeded, 4u);
 }
 
 TEST(ServeEngine, ChaosRunKeepsAccountingExact)

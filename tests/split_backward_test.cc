@@ -206,7 +206,7 @@ TEST(SplitBackward, ConvIsAdjointOfForward)
     }
 }
 
-TEST(SplitBackward, MaxPoolMatchesUnsplit)
+TEST(SplitBackward, MaxPoolMatchesComposedPerPatchReference)
 {
     uint32_t seed = 120;
     for (const auto &hc : kHaloCases) {
@@ -217,19 +217,34 @@ TEST(SplitBackward, MaxPoolMatchesUnsplit)
         const auto scheme =
             makeScheme(win, hc.ih, hc.iw, hc.nh, hc.nw);
         std::vector<int64_t> argmax;
-        const Tensor out = maxPool2dForward(x, win, argmax);
+        const Tensor out = splitMaxPool2dForward(x, win, scheme, argmax);
         Tensor go(out.shape());
         go.fillNormal(rng, 0.0f, 1.0f);
 
-        // Patches tile the output exactly and every output element
-        // scatters to its unique argmax, so the split backward
-        // matches the unsplit one up to summation order at shared
-        // argmax targets.
-        const Tensor split =
-            splitMaxPool2dBackward(x.shape(), go, argmax, scheme);
-        const Tensor unsplit =
-            maxPool2dBackward(x.shape(), go, argmax);
-        EXPECT_LT(maxAbsDiff(split, unsplit), 1e-5f) << hc.name;
+        // The split forward's argmax indexes the whole input, so the
+        // one max-pool scatter is the split backward: it matches
+        // per-patch backwards over materialized patches, scatter-added
+        // into the parent, up to summation order at shared targets.
+        const Tensor split = maxPool2dBackward(x.shape(), go, argmax);
+        Tensor composed(x.shape());
+        for (int hi = 0; hi < scheme.h.parts(); ++hi) {
+            for (int wi = 0; wi < scheme.w.parts(); ++wi) {
+                const Tensor patch =
+                    oracle::slicePatch(x, scheme, hi, wi);
+                std::vector<int64_t> local_argmax;
+                maxPool2dForward(patch, patchWindow(win, scheme, hi, wi),
+                                 local_argmax);
+                addWindow2d(
+                    maxPool2dBackward(patch.shape(),
+                                      sliceGradOutBlock(go, scheme, hi,
+                                                        wi),
+                                      local_argmax),
+                    scheme.h.pieces[static_cast<size_t>(hi)].in_start,
+                    scheme.w.pieces[static_cast<size_t>(wi)].in_start,
+                    composed);
+            }
+        }
+        EXPECT_LT(maxAbsDiff(split, composed), 1e-5f) << hc.name;
     }
 }
 
@@ -339,7 +354,8 @@ TEST(SplitBackward, ShadowValidatesBackwardAgainstModel)
     w.fillNormal(rng, 0.0f, 0.5f);
 
     // Stride-1 overlapping windows and a downsampling geometry, with
-    // and without bias, plus both fused pool backwards.
+    // and without bias, plus the split max-pool forward whose argmax
+    // the pool backward reads and the fused avg-pool backward.
     for (const int64_t stride : {int64_t{1}, int64_t{2}}) {
         const Window2d win = Window2d::square(3, stride, 1);
         const auto scheme = makeScheme(win, 17, 19, 2, 3);
@@ -350,10 +366,10 @@ TEST(SplitBackward, ShadowValidatesBackwardAgainstModel)
         splitConv2dBackward(x, w, go, win, scheme, gx, gw, gb);
 
         std::vector<int64_t> argmax;
-        Tensor pout = maxPool2dForward(x, win, argmax);
+        Tensor pout = splitMaxPool2dForward(x, win, scheme, argmax);
         Tensor pgo(pout.shape());
         pgo.fillNormal(rng, 0.0f, 1.0f);
-        splitMaxPool2dBackward(x.shape(), pgo, argmax, scheme);
+        maxPool2dBackward(x.shape(), pgo, argmax);
         splitAvgPool2dBackward(x.shape(), pgo, win, scheme);
     }
 

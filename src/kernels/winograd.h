@@ -54,8 +54,9 @@ bool winogradCostModelWins(int64_t c, int64_t oc);
 /** Floats winogradPackWeights needs for one layer's packed U. */
 int64_t winogradPackedUSize(int64_t oc, int64_t c);
 
-/** Transform all filters (U = G g G^T) and pack each of the 16
- * transform-point matrices U_e (oc x c) into gemmPackA panels;
+/** Transform all filters (U = G g G^T, 8 input channels per block)
+ * and pack each of the 16 transform-point matrices U_e (oc x c) into
+ * gemmPackA panels;
  * @p pu holds winogradPackedUSize(oc, c) floats, 64-byte aligned.
  * Packed under the active microkernel — pack and consume under the
  * same SIMD selection. */
@@ -95,6 +96,12 @@ struct WinogradPatch
  * patch output height, so callers can tile a patch across workers
  * with any even row granularity. Scratch (V and M matrices for the
  * block) comes from the calling thread's arena.
+ *
+ * The input and output transforms run 8 tiles per block over the
+ * flat tile index (patch after patch, row-major within a patch), so
+ * one block may span tile rows, patches and images. They use only
+ * adds, subtracts and halvings, so the bytes equal a per-tile
+ * transform's under either microkernel.
  */
 void conv2dWinogradPatches(const WinogradPatch *patches, int64_t count,
                            int64_t c, int64_t ih, int64_t iw,

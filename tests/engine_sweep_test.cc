@@ -14,7 +14,10 @@
  * shapes. A third set runs the small-patch regime where conv work
  * items group images (splitConvImageGroups): 1x1 and 2x2 output
  * patches and odd Winograd output widths at batch sizes giving one
- * image per group, one full group and a ragged last group. Every
+ * image per group, one full group and a ragged last group. A fourth
+ * set sizes Winograd work items at 1, 7, 8, 9 and 17 tiles, so the
+ * 8-tile transform blocks run partial and straddle patch and image
+ * boundaries, on uneven grids with negative paddings. Every
  * case runs at 1, 2 and 4 threads under the scalar microkernel and
  * must match the oracle bitwise; a SIMD pass checks the same cases
  * within float tolerance. The seed is fixed.
@@ -247,6 +250,100 @@ groupedCases()
                       (cs.bias ? " bias" : "");
             cases.push_back(cs);
         }
+    return cases;
+}
+
+/** A Winograd split geometry whose work items hold a chosen number of
+ * tiles: the 3x3/1 transforms run kLanes = 8 tiles per block over the
+ * flat tile index of a work item, so these counts cover a lone tile,
+ * one partial block, exactly one block, one block plus a remainder
+ * and two blocks plus one, with blocks straddling patch and image
+ * boundaries. */
+struct BlockCase
+{
+    const char *name;
+    int64_t pad, ih, iw;
+    std::vector<int64_t> h_starts, w_starts; ///< output partitions
+    InputSplitPolicy policy;
+    int64_t n;
+    int64_t tiles; ///< tile count at least one work item must hold
+    /** Explicit W input starts, outside [lb, ub] as a residual fork's
+     * second consumer gets them (negative paddings); empty: policy. */
+    std::vector<int64_t> w_in = {};
+};
+
+/** Tiles in each conv work item of @p cs (image group x row band),
+ * from the engine's own decomposition. */
+std::vector<int64_t>
+itemTileCounts(const Case &cs)
+{
+    int64_t tiles_x = 0;
+    for (const SplitPiece1d &pw : cs.scheme.w.pieces)
+        tiles_x += (pw.outLen() + 1) / 2;
+    std::vector<int64_t> counts;
+    for (const SplitImageGroup &grp : splitConvImageGroups(
+             cs.n, splitConvImageCols(cs.scheme, /*winograd=*/true)))
+        for (const SplitBandItem &band : splitConvBandItems(cs.scheme.h))
+            counts.push_back((grp.n1 - grp.n0) *
+                             ((band.oy1 + 1) / 2 - band.oy0 / 2) * tiles_x);
+    return counts;
+}
+
+std::vector<Case>
+winogradBlockCases()
+{
+    const InputSplitPolicy lower = InputSplitPolicy::LowerBound;
+    const InputSplitPolicy upper = InputSplitPolicy::UpperBound;
+    const InputSplitPolicy center = InputSplitPolicy::Center;
+    const std::vector<BlockCase> grid = {
+        // One 1-tile item per 2-row patch.
+        {"1_tile", 1, 4, 2, {0, 2}, {0}, center, 1, 1},
+        // Seven images of one tile each: a single partial block.
+        {"7_tiles_7_images", 1, 4, 2, {0, 2}, {0}, upper, 7, 7},
+        // Three uneven width patches (2, 4, 7 outputs: 1 + 2 + 4
+        // tiles) of one image; the last starts one column early
+        // (begin padding -1).
+        {"7_tiles_3_patches", 1, 2, 13, {0}, {0, 2, 6}, upper, 1, 7,
+         {0, 1, 4}},
+        // Two width patches of four images: one full block across
+        // four image boundaries.
+        {"8_tiles", 1, 4, 4, {0, 2}, {0, 2}, upper, 4, 8},
+        // Unpadded window, patches of 1 + 2 tiles, three images.
+        {"9_tiles", 0, 4, 8, {0}, {0, 2}, lower, 3, 9},
+        // 11-image groups of 3 tiles, then a ragged 3-image group.
+        {"9_tiles_ragged_group", 1, 4, 5, {0, 2}, {0, 1}, upper, 14, 9},
+        // Width patches of 4, 11 and 18 outputs (2 + 6 + 9 tiles),
+        // each of the first two holding one input column its windows
+        // never read (end padding -1); two images per group, the last
+        // group one image.
+        {"17_tiles", 1, 3, 33, {0, 2}, {0, 4, 15}, upper, 3, 17,
+         {0, 6, 17}},
+        // Multi-row patches with interior tiles and ragged last rows;
+        // with the centered split a patch's last tile column ends
+        // exactly at its view edge, next to its neighbour's inputs.
+        {"interior", 1, 14, 14, {0, 5}, {0, 6, 9}, upper, 2, 40},
+        {"interior_centered", 1, 14, 14, {0, 5}, {0, 6, 9}, center, 2, 40},
+    };
+    std::vector<Case> cases;
+    for (const BlockCase &bc : grid) {
+        Case cs;
+        cs.win = Window2d::square(3, 1, bc.pad);
+        cs.ih = bc.ih;
+        cs.iw = bc.iw;
+        cs.scheme = splitWindowOp2d(cs.win, bc.ih, bc.iw, bc.h_starts,
+                                    bc.w_starts, bc.policy);
+        if (!bc.w_in.empty())
+            cs.scheme.w = buildSplitScheme({3, 1, bc.pad, bc.pad}, bc.iw,
+                                           bc.w_starts, bc.w_in);
+        cs.n = bc.n;
+        cs.bias = bc.n % 2 == 1;
+        cs.name = bc.name;
+        const std::vector<int64_t> counts = itemTileCounts(cs);
+        EXPECT_NE(std::find(counts.begin(), counts.end(), bc.tiles),
+                  counts.end())
+            << bc.name << ": no work item holds " << bc.tiles << " tiles";
+        cases.push_back(cs);
+    }
     return cases;
 }
 
@@ -529,6 +626,25 @@ TEST(SplitOp, GroupedBatchConvForwardMatchesOracleBitwise)
 TEST(SplitBackward, GroupedBatchConvBackwardMatchesOracleBitwise)
 {
     checkConvBackward(groupedCases(), 1200);
+}
+
+TEST(SplitOp, WinogradBlockRemaindersMatchOracleBitwise)
+{
+    const std::vector<Case> cases = winogradBlockCases();
+    // The fork-adapted input starts give both kinds of negative
+    // padding: a patch starting before its first window (begin) and
+    // one reaching past its last window (end).
+    bool negative_b = false, negative_e = false;
+    for (const Case &cs : cases)
+        for (int hi = 0; hi < cs.scheme.h.parts(); ++hi)
+            for (int wi = 0; wi < cs.scheme.w.parts(); ++wi) {
+                const Window2d pw = patchWindow(cs.win, cs.scheme, hi, wi);
+                negative_b = negative_b || pw.ph_b < 0 || pw.pw_b < 0;
+                negative_e = negative_e || pw.ph_e < 0 || pw.pw_e < 0;
+            }
+    EXPECT_TRUE(negative_b);
+    EXPECT_TRUE(negative_e);
+    checkConvForward(cases, 1300);
 }
 
 TEST(SplitOp, ImageGroupsCoverBatchAndStopAtTarget)

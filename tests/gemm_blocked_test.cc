@@ -3,7 +3,8 @@
  * Blocked-vs-naive GEMM equivalence: randomized relative-tolerance
  * checks over an alpha/beta grid and awkward (prime, non-square)
  * sizes, plus the stronger bitwise guarantee the execution engine
- * relies on to keep figure outputs byte-stable.
+ * relies on to keep figure outputs byte-stable, and the AVX2 tile's
+ * bits pinned as an ascending per-element FMA chain.
  */
 #include <gtest/gtest.h>
 
@@ -156,19 +157,40 @@ TEST(GemmBlocked, BitwiseIdenticalToNaive)
             }
 }
 
-/** Each layout at the alpha/beta the engine calls it with (NN and NT
- * overwrite, TN accumulates) agrees with the naive reference. */
-TEST(GemmBlocked, DispatchersBitwiseStable)
+/** The AVX2 bits as a spec: each C element of the 6x16 tile is one
+ * fused multiply-add chain over p ascending, starting from C —
+ * acc = fma(a_p, b_p, acc) per step, rounded once per step. Checked
+ * byte for byte against std::fmaf on the tile entry point itself,
+ * so a split-k, a reordered or a tree accumulation fails here even
+ * when it stays within the tolerance of the test below. */
+TEST(GemmBlocked, SimdTileIsAscendingFmaChain)
 {
-    ScopedSimd scalar(false);
-    uint32_t seed = 1700;
-    for (const auto &cs : kCases) {
-        compareKernels(gemmNaive, gemm, cs.m, cs.n, cs.k, 1.0f, 0.0f,
-                       ++seed, true);
-        compareKernels(gemmTNNaive, gemmTN, cs.m, cs.n, cs.k, 1.0f,
-                       1.0f, ++seed, true);
-        compareKernels(gemmNTNaive, gemmNT, cs.m, cs.n, cs.k, 1.0f,
-                       0.0f, ++seed, true);
+    const Microkernel *uk = microkernelAvx2();
+    if (uk == nullptr)
+        GTEST_SKIP() << "no AVX2 kernel on this build/CPU";
+    const int64_t mr = uk->mr, nr = uk->nr;
+    const int64_t ldc = nr + 3; // C rows not contiguous
+    Rng rng(5150);
+    for (const int64_t kc : {1, 7, 256}) {
+        AlignedBuf pa(kc * mr), pb(kc * nr);
+        for (int64_t i = 0; i < kc * mr; ++i)
+            pa.p[i] = rng.normal();
+        for (int64_t i = 0; i < kc * nr; ++i)
+            pb.p[i] = rng.normal();
+        std::vector<float> c(static_cast<size_t>(mr * ldc));
+        fillRandom(c, rng);
+        std::vector<float> want = c;
+        for (int64_t r = 0; r < mr; ++r)
+            for (int64_t j = 0; j < nr; ++j) {
+                float acc = want[static_cast<size_t>(r * ldc + j)];
+                for (int64_t p = 0; p < kc; ++p)
+                    acc = std::fmaf(pa.p[p * mr + r], pb.p[p * nr + j], acc);
+                want[static_cast<size_t>(r * ldc + j)] = acc;
+            }
+        uk->tile(kc, pa.p, pb.p, c.data(), ldc);
+        ASSERT_EQ(0, std::memcmp(c.data(), want.data(),
+                                 c.size() * sizeof(float)))
+            << "tile is not the ascending fma chain at kc=" << kc;
     }
 }
 

@@ -140,10 +140,12 @@ TEST(Backward, NeededSetCoversConvInputsAndPoolTensors)
     Graph g = buildVgg19({.batch = 1, .image = 32, .width = 0.125});
     const auto needed = tensorsNeededInBackward(g, g.topoOrder());
     EXPECT_FALSE(needed.empty());
-    for (const auto &n : g.nodes())
-        if (n.kind == OpKind::Conv2d)
+    for (const auto &n : g.nodes()) {
+        if (n.kind == OpKind::Conv2d) {
             EXPECT_TRUE(needed.count(n.inputs[0]))
                 << "conv input of " << n.name << " not in needed set";
+        }
+    }
 }
 
 TEST(Models, Vgg19CifarStructure)

@@ -31,10 +31,12 @@ TEST(CostModel, ConvIsComputeBoundPoolIsMemoryBound)
             cost.bytes > 0 ? cost.flops / cost.bytes : 0.0;
         // The 3-channel stem conv is exempt: its window is tiny.
         if (n.kind == OpKind::Conv2d && n.win.kh == 3 &&
-            g.tensor(n.inputs[0]).shape.dim(1) >= 16)
+            g.tensor(n.inputs[0]).shape.dim(1) >= 16) {
             EXPECT_GT(intensity, 30.0) << n.name;
-        if (n.kind == OpKind::MaxPool2d || n.kind == OpKind::ReLU)
+        }
+        if (n.kind == OpKind::MaxPool2d || n.kind == OpKind::ReLU) {
             EXPECT_LT(intensity, 8.0) << n.name;
+        }
     }
 }
 

@@ -12,6 +12,10 @@
  * JSON against the committed copy in the perf-regression gate and
  * uploads it as an artifact.
  *
+ * An elementwise section times the per-element loops a train step
+ * runs around the GEMM (ReLU, batchnorm, max-pool, conv operand
+ * staging) in GB/s at one VGG-19 layer shape.
+ *
  * Every split measurement records the thread count it actually ran
  * with (only counts up to the machine's hardware threads), and each
  * split depth reports split_overhead_ratio = split ms / unsplit ms
@@ -29,12 +33,16 @@
 #include <vector>
 
 #include "core/split_op.h"
+#include "kernels/activations.h"
+#include "kernels/batchnorm.h"
 #include "kernels/conv2d.h"
 #include "kernels/im2col.h"
 #include "kernels/gemm.h"
 #include "kernels/microkernel.h"
+#include "kernels/pool2d.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
+#include "util/scratch_arena.h"
 #include "util/threadpool.h"
 
 namespace scnn {
@@ -107,6 +115,106 @@ struct SplitResult
 
     double overheadRatio() const { return split_ms / unsplit_ms; }
 };
+
+/** One loop of the elementwise section: its median time and the
+ * bytes it reads and writes, each tensor counted once. */
+struct ElementwiseResult
+{
+    const char *name;
+    double ms;
+    double bytes;
+
+    double gbps() const { return bytes / (ms * 1e6); }
+};
+
+/**
+ * The per-element loops a train step runs around the GEMM, at the
+ * train_vgg19 conv2 shape (32x4x32x32, 3x3 pad 1, 1 thread): ReLU,
+ * batchnorm, 2x2 max-pool, and the conv operand staging (im2col and
+ * its pack into forward B panels or into wgrad's transposed B panels,
+ * the grad_out A pack, and the col2im scatter), each over the whole
+ * batch in 16-row bands as the conv engine runs it.
+ */
+std::vector<ElementwiseResult>
+benchElementwise()
+{
+    const int64_t n = 32, c = 4, hw = 32;
+    const double tensor_bytes = double(n * c * hw * hw) * sizeof(float);
+    Rng rng(8);
+    Tensor x(Shape{n, c, hw, hw}), g(Shape{n, c, hw, hw});
+    x.fillNormal(rng, 0.0f, 1.0f);
+    g.fillNormal(rng, 0.0f, 1.0f);
+    Tensor gamma(Shape{c}, 1.5f), beta(Shape{c}, 0.25f);
+    std::vector<ElementwiseResult> out;
+    auto add = [&](const char *name, double bytes, auto &&fn) {
+        out.push_back({name, timeIt(fn, 11) * 1e3, bytes});
+    };
+
+    const Tensor y = reluForward(x);
+    add("relu_fwd", 2 * tensor_bytes, [&] { Tensor t = reluForward(x); });
+    add("relu_bwd", 3 * tensor_bytes,
+        [&] { Tensor t = reluBackward(y, g); });
+    BatchNormCache cache;
+    add("batchnorm_fwd_stats", 3 * tensor_bytes, [&] {
+        Tensor t = batchNormForwardStats(x, gamma, beta, 1e-5f, cache);
+    });
+    add("batchnorm_bwd", 3 * tensor_bytes, [&] {
+        Tensor gg(Shape{c}), gb(Shape{c});
+        Tensor t = batchNormBackward(g, gamma, cache, gg, gb);
+    });
+    std::vector<int64_t> argmax;
+    add("maxpool_fwd",
+        tensor_bytes * (1.0 + 0.25 + 0.25 * sizeof(int64_t) / sizeof(float)),
+        [&] {
+            Tensor t = maxPool2dForward(x, Window2d::square(2, 2, 0), argmax);
+        });
+
+    // Conv operand staging, per image and 16-row band.
+    const Window2d win = Window2d::square(3, 1, 1);
+    const int64_t krows = c * 9, band = 16, nb = band * hw;
+    auto &arena = ScratchArena::tls();
+    auto guard = arena.scope();
+    float *col = arena.alloc(krows * nb);
+    float *pb = arena.alloc(gemmPackedBSize(krows, nb));
+    float *pbt = arena.alloc(gemmPackedBSize(nb, krows));
+    float *pa = arena.alloc(gemmPackedASize(c, nb));
+    std::vector<float> gcol(static_cast<size_t>(krows * nb));
+    for (auto &v : gcol)
+        v = rng.normal();
+    Tensor gx(x.shape());
+    const double col_bytes = double(n * krows * hw * hw) * sizeof(float);
+    auto perBand = [&](auto &&fn) {
+        return [&, fn] {
+            for (int64_t i = 0; i < n; ++i)
+                for (int64_t oy = 0; oy < hw; oy += band)
+                    fn(i, oy);
+        };
+    };
+    auto im2colBand = [&](int64_t i, int64_t oy) {
+        im2colViewStrided(x.data() + i * c * hw * hw, c, hw, hw,
+                          PatchView::full(hw, hw), win, oy, oy + band, col,
+                          nb, hw);
+    };
+    add("im2col_b_stage", col_bytes, perBand([&](int64_t i, int64_t oy) {
+            im2colBand(i, oy);
+            gemmPackB(krows, nb, col, nb, pb);
+        }));
+    add("im2col_bt_stage", col_bytes, perBand([&](int64_t i, int64_t oy) {
+            im2colBand(i, oy);
+            gemmPackBStrided(nb, krows, col, 1, nb, pbt);
+        }));
+    add("pack_a_grad_out", 2 * tensor_bytes,
+        perBand([&](int64_t i, int64_t oy) {
+            gemmPackAStrided(c, nb, 1.0f, g.data() + (i * c * hw + oy) * hw,
+                             hw * hw, 1, pa);
+        }));
+    add("col2im", 2 * col_bytes, perBand([&](int64_t i, int64_t oy) {
+            col2imViewStrided(gcol.data(), c, hw, hw, PatchView::full(hw, hw),
+                              win, oy, oy + band,
+                              gx.data() + i * c * hw * hw, nb, hw);
+        }));
+    return out;
+}
 
 } // namespace
 } // namespace scnn
@@ -217,9 +325,9 @@ main(int argc, char **argv)
     }
 
     // --- strided im2col staging ---------------------------------------
-    // Stride-2 staging used to walk every element behind a bounds
-    // branch; it now memsets the flanks and gathers the middle over a
-    // hoisted valid range, mirroring the stride-1 memcpy path. Report
+    // im2col zero-fills the flanks and copies (stride 1) or gathers
+    // (stride 2) the middle of each row over a hoisted valid range.
+    // Report
     // the column fill rate at both strides (GB/s of produced column
     // data, 64x56x56 input, 3x3 kernel, pad 1, 1 thread).
     double i2c_s1_gbps = 0.0, i2c_s2_gbps = 0.0;
@@ -475,6 +583,8 @@ main(int argc, char **argv)
         }
     }
 
+    const std::vector<ElementwiseResult> elementwise = benchElementwise();
+
     auto findIn = [](const std::vector<SplitResult> &v, int depth,
                      int threads) -> const SplitResult * {
         for (const auto &r : v)
@@ -625,7 +735,20 @@ main(int argc, char **argv)
                      i + 1 < gemm_n_sweep.size() ? "," : "");
     }
     std::fprintf(f, "    ]\n");
-    std::fprintf(f, "  }\n");
+    std::fprintf(f, "  },\n");
+    std::fprintf(f,
+                 "  \"elementwise\": {\"workload\": \"32x4x32x32 "
+                 "(train_vgg19 conv2), 3x3 pad 1, 16-row bands\", "
+                 "\"threads\": 1, \"loops\": [\n");
+    for (size_t i = 0; i < elementwise.size(); ++i) {
+        const ElementwiseResult &e = elementwise[i];
+        std::fprintf(f,
+                     "    {\"name\": \"%s\", \"ms\": %.4f, "
+                     "\"gbps\": %.2f}%s\n",
+                     e.name, e.ms, e.gbps(),
+                     i + 1 < elementwise.size() ? "," : "");
+    }
+    std::fprintf(f, "  ]}\n");
     std::fprintf(f, "}\n");
     std::fclose(f);
 
@@ -679,5 +802,8 @@ main(int argc, char **argv)
                     static_cast<long long>(g.m),
                     static_cast<long long>(g.k),
                     static_cast<long long>(g.n), g.gflops);
+    for (const ElementwiseResult &e : elementwise)
+        std::printf("elementwise %s (1t): %.4f ms, %.2f GB/s\n", e.name,
+                    e.ms, e.gbps());
     return 0;
 }

@@ -522,7 +522,7 @@ splitConv2dForward(const Tensor &x, const Tensor &weight,
                 for (int64_t o = 0; o < oc; ++o) {
                     float *dst = out0 + (j * oc + o) * ospatial;
                     if (gn > 1)
-                        uk.copyRow(dst, cstage + o * ld + j * nb, nb);
+                        copyFloats(dst, cstage + o * ld + j * nb, nb);
                     if (has_bias)
                         uk.addBiasRow(dst, nb, bias_ptr[o]);
                 }
@@ -645,11 +645,13 @@ splitAvgPool2dForward(const Tensor &x, const Window2d &win,
 //          band, every width patch stages its halo-aware im2col
 //          columns into one shared column matrix ordered by parent
 //          output position — exactly the forward staging — and
-//          gw_img[krows x oc] += packA(col) x packB(grad_out band^T)
-//          (grad_out^T packed straight from the parent tensor via
-//          gemmPackBStrided; beta = 1 chains the image's bands).
-//          Per-image partials reduce into grad_w serially in image
-//          order — bitwise-identical for any thread count. Merging
+//          gw_img[oc x krows] += packA(grad_out band) x packB(col^T)
+//          (grad_out packed straight from the parent tensor, the
+//          columns packed transposed via gemmPackBStrided; beta = 1
+//          chains the image's bands). The partial has grad_w's own
+//          layout, so per-image partials reduce into grad_w with
+//          contiguous adds, serially in image order —
+//          bitwise-identical for any thread count. Merging
 //          images into the GEMM's K would change that rounding, so
 //          wgrad stays per image.
 //   dgrad  image groups (the forward's splitConvImageGroups) fan out
@@ -749,9 +751,9 @@ splitConv2dBackward(const Tensor &x, const Tensor &weight,
             auto &warena = ScratchArena::tls();
             auto wguard = warena.scope();
             float *col = warena.alloc(krows * image_cols);
-            float *pa_col =
-                warena.alloc(gemmPackedASize(krows, image_cols));
-            float *pb_got = warena.alloc(gemmPackedBSize(image_cols, oc));
+            float *pa_go = warena.alloc(gemmPackedASize(oc, image_cols));
+            float *pb_col =
+                warena.alloc(gemmPackedBSize(image_cols, krows));
             for (int64_t wi = begin; wi < end; ++wi) {
                 const int64_t in = w0 + wi;
                 const float *go = grad_out.data() + in * oc * ospatial;
@@ -785,14 +787,15 @@ splitConv2dBackward(const Tensor &x, const Tensor &weight,
                             band.oy0, band.oy1, col + pw.out_start, nb,
                             out_w);
                     }
-                    // gw_img (krows x oc, grad_w transposed)
-                    // accumulates this band's columns x grad_out^T
-                    // product; beta = 1 chains bands ascending.
-                    gemmPackA(krows, nb, 1.0f, col, pa_col);
-                    gemmPackBStrided(nb, oc, go_band, /*rs=*/1,
-                                     /*cs=*/ospatial, pb_got);
-                    gemmPackedAB(krows, oc, nb, pa_col, pb_got,
-                                 bi == 0 ? 0.0f : 1.0f, gw_img, oc);
+                    // gw_img (oc x krows, grad_w's layout) accumulates
+                    // this band's grad_out rows x columns^T product;
+                    // beta = 1 chains bands ascending.
+                    gemmPackAStrided(oc, nb, 1.0f, go_band,
+                                     /*rs=*/ospatial, /*cs=*/1, pa_go);
+                    gemmPackBStrided(nb, krows, col, /*rs=*/1, /*cs=*/nb,
+                                     pb_col);
+                    gemmPackedAB(oc, krows, nb, pa_go, pb_col,
+                                 bi == 0 ? 0.0f : 1.0f, gw_img, krows);
                 }
                 if (has_bias) {
                     float *gb = gb_acc + wi * oc;
@@ -813,17 +816,10 @@ splitConv2dBackward(const Tensor &x, const Tensor &weight,
                 if (has_bias)
                     shadowRecord(grad_b.data(), oc, true);
             }
-            // gw_img is [krows x oc]; grad_w is [oc x krows].
-            const float *gw = gw_acc + wi * krows * oc;
-            float *dst = grad_w.data();
-            for (int64_t o = 0; o < oc; ++o)
-                for (int64_t r = 0; r < krows; ++r)
-                    dst[o * krows + r] += gw[r * oc + o];
-            if (has_bias) {
-                const float *gb = gb_acc + wi * oc;
-                for (int64_t o = 0; o < oc; ++o)
-                    grad_b.at(o) += gb[o];
-            }
+            // gw_img and grad_w share the [oc x krows] layout.
+            addRow(grad_w.data(), gw_acc + wi * krows * oc, oc * krows);
+            if (has_bias)
+                addRow(grad_b.data(), gb_acc + wi * oc, oc);
         }
     }
 
@@ -835,7 +831,6 @@ splitConv2dBackward(const Tensor &x, const Tensor &weight,
         float *pb_go = warena.alloc(gemmPackedBSize(oc, max_item_cols));
         float *go_stage =
             group_size > 1 ? warena.alloc(oc * max_item_cols) : nullptr;
-        const Microkernel &uk = activeMicrokernel();
         for (int64_t gi = begin; gi < end; ++gi) {
             const SplitImageGroup &grp = groups[static_cast<size_t>(gi)];
             const int64_t gn = grp.n1 - grp.n0;
@@ -865,7 +860,7 @@ splitConv2dBackward(const Tensor &x, const Tensor &weight,
                 if (gn > 1)
                     for (int64_t j = 0; j < gn; ++j)
                         for (int64_t o = 0; o < oc; ++o)
-                            uk.copyRow(go_stage + o * ld + j * nb,
+                            copyFloats(go_stage + o * ld + j * nb,
                                        go0 + (j * oc + o) * ospatial, nb);
                 gemmPackB(oc, ld, gn == 1 ? go0 : go_stage,
                           gn == 1 ? ospatial : ld, pb_go);

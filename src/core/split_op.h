@@ -218,12 +218,12 @@ Tensor splitAvgPool2dForward(const Tensor &x, const Window2d &win,
  *   wgrad: per image, its row bands serially on one worker (images
  *          fan out across the pool). Per band every patch stages its
  *          halo-aware im2col columns exactly as the forward does; the
- *          columns (packed A) contract against the band's grad_out
- *          rows packed transposed straight from the parent tensor
- *          (gemmPackBStrided), chaining a per-image partial
- *          accumulator across bands (beta = 1); partials are reduced
- *          into grad_w serially in image order, so the result is
- *          bitwise-identical for any thread count.
+ *          band's grad_out rows (packed A, straight from the parent
+ *          tensor) contract against the columns packed transposed
+ *          (gemmPackBStrided), chaining a per-image partial in
+ *          grad_w's [oc x krows] layout across bands (beta = 1);
+ *          partials are reduced into grad_w serially in image order,
+ *          so the result is bitwise-identical for any thread count.
  *   dgrad: per image group (the forward's splitConvImageGroups), its
  *          row bands serially on one worker. W^T panels (packed once
  *          per call) contract against the group's grad_out band rows

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "kernels/rowops.h"
 #include "util/logging.h"
 
 namespace scnn {
@@ -9,18 +10,15 @@ namespace scnn {
 Tensor
 reluForward(const Tensor &x)
 {
-    Tensor out = x;
-    reluForwardInplace(out);
+    Tensor out = Tensor::uninitialized(x.shape());
+    reluRow(out.data(), x.data(), x.numel());
     return out;
 }
 
 void
 reluForwardInplace(Tensor &x)
 {
-    float *p = x.data();
-    const int64_t n = x.numel();
-    for (int64_t i = 0; i < n; ++i)
-        p[i] = p[i] > 0.0f ? p[i] : 0.0f;
+    reluRow(x.data(), x.data(), x.numel());
 }
 
 Tensor
@@ -28,10 +26,8 @@ reluBackward(const Tensor &y, const Tensor &grad_out)
 {
     SCNN_CHECK(y.shape() == grad_out.shape(),
                "relu backward shape mismatch");
-    Tensor grad_x(y.shape());
-    const int64_t n = y.numel();
-    for (int64_t i = 0; i < n; ++i)
-        grad_x.at(i) = y.at(i) > 0.0f ? grad_out.at(i) : 0.0f;
+    Tensor grad_x = Tensor::uninitialized(y.shape());
+    reluGradRow(grad_x.data(), y.data(), grad_out.data(), y.numel());
     return grad_x;
 }
 

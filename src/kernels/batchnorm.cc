@@ -2,6 +2,10 @@
 
 #include <cmath>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "kernels/rowops.h"
 #include "util/logging.h"
 
@@ -20,6 +24,75 @@ viewOf(const Tensor &x)
     SCNN_REQUIRE(x.shape().rank() == 4, "batchnorm input must be NCHW");
     return {x.shape().dim(0), x.shape().dim(1),
             x.shape().dim(2) * x.shape().dim(3)};
+}
+
+// The per-element normalize loops. Each lane runs the scalar loop's
+// operations in its order, one rounding per operation, so the SSE and
+// scalar forms give the same bits. This file is built without -mfma,
+// so no multiply-add pair can be contracted into an FMA.
+
+/** xh = (x - mean) * inv_std; y = g * xh + b. */
+void
+normalizeRow(const float *x, int64_t n, float mean, float inv_std, float g,
+             float b, float *xh, float *y)
+{
+    int64_t s = 0;
+#if defined(__SSE2__)
+    const __m128 vm = _mm_set1_ps(mean), vs = _mm_set1_ps(inv_std);
+    const __m128 vg = _mm_set1_ps(g), vb = _mm_set1_ps(b);
+    for (; s + 4 <= n; s += 4) {
+        const __m128 h =
+            _mm_mul_ps(_mm_sub_ps(_mm_loadu_ps(x + s), vm), vs);
+        _mm_storeu_ps(xh + s, h);
+        _mm_storeu_ps(y + s, _mm_add_ps(_mm_mul_ps(vg, h), vb));
+    }
+#endif
+    for (; s < n; ++s) {
+        xh[s] = (x[s] - mean) * inv_std;
+        y[s] = g * xh[s] + b;
+    }
+}
+
+/** y = g * (x - mean) * inv_std + b. */
+void
+inferRow(const float *x, int64_t n, float mean, float inv_std, float g,
+         float b, float *y)
+{
+    int64_t s = 0;
+#if defined(__SSE2__)
+    const __m128 vm = _mm_set1_ps(mean), vs = _mm_set1_ps(inv_std);
+    const __m128 vg = _mm_set1_ps(g), vb = _mm_set1_ps(b);
+    for (; s + 4 <= n; s += 4) {
+        const __m128 d = _mm_sub_ps(_mm_loadu_ps(x + s), vm);
+        _mm_storeu_ps(y + s,
+                      _mm_add_ps(_mm_mul_ps(_mm_mul_ps(vg, d), vs), vb));
+    }
+#endif
+    for (; s < n; ++s)
+        y[s] = g * (x[s] - mean) * inv_std + b;
+}
+
+/** dx = (g * inv_std) * (dy - mean_dy - xh * mean_dy_xhat); the
+ * caller passes the product g * inv_std, which C++'s left-to-right
+ * evaluation of the old expression rounded first anyway. */
+void
+backwardRow(const float *dy, const float *xh, int64_t n, float g_inv_std,
+            float mean_dy, float mean_dy_xhat, float *dx)
+{
+    int64_t s = 0;
+#if defined(__SSE2__)
+    const __m128 vgi = _mm_set1_ps(g_inv_std);
+    const __m128 vmd = _mm_set1_ps(mean_dy);
+    const __m128 vmx = _mm_set1_ps(mean_dy_xhat);
+    for (; s + 4 <= n; s += 4) {
+        const __m128 t =
+            _mm_sub_ps(_mm_sub_ps(_mm_loadu_ps(dy + s), vmd),
+                       _mm_mul_ps(_mm_loadu_ps(xh + s), vmx));
+        _mm_storeu_ps(dx + s, _mm_mul_ps(vgi, t));
+    }
+#endif
+    for (; s < n; ++s)
+        dx[s] = g_inv_std * (dy[s] - mean_dy - xh[s] * mean_dy_xhat);
 }
 
 } // namespace
@@ -58,13 +131,9 @@ batchNormForwardStats(const Tensor &x, const Tensor &gamma,
         const float b = beta.at(ic);
         for (int64_t in = 0; in < v.n; ++in) {
             const int64_t base = (in * v.c + ic) * v.spatial;
-            const float *src = x.data() + base;
-            float *xh = cache.x_hat.data() + base;
-            float *dst = out.data() + base;
-            for (int64_t s = 0; s < v.spatial; ++s) {
-                xh[s] = (src[s] - static_cast<float>(mean)) * inv_std;
-                dst[s] = g * xh[s] + b;
-            }
+            normalizeRow(x.data() + base, v.spatial,
+                         static_cast<float>(mean), inv_std, g, b,
+                         cache.x_hat.data() + base, out.data() + base);
         }
     }
     return out;
@@ -111,10 +180,8 @@ batchNormInference(const Tensor &x, const Tensor &gamma,
         const float m = running_mean.at(ic);
         for (int64_t in = 0; in < v.n; ++in) {
             const int64_t base = (in * v.c + ic) * v.spatial;
-            const float *src = x.data() + base;
-            float *dst = out.data() + base;
-            for (int64_t s = 0; s < v.spatial; ++s)
-                dst[s] = g * (src[s] - m) * inv_std + b;
+            inferRow(x.data() + base, v.spatial, m, inv_std, g, b,
+                     out.data() + base);
         }
     }
     return out;
@@ -148,13 +215,9 @@ batchNormBackward(const Tensor &grad_out, const Tensor &gamma,
             static_cast<float>(sum_dy_xhat / count);
         for (int64_t in = 0; in < v.n; ++in) {
             const int64_t base = (in * v.c + ic) * v.spatial;
-            const float *dy = grad_out.data() + base;
-            const float *xh = cache.x_hat.data() + base;
-            float *dx = grad_x.data() + base;
-            for (int64_t s = 0; s < v.spatial; ++s) {
-                dx[s] = g * inv_std *
-                        (dy[s] - mean_dy - xh[s] * mean_dy_xhat);
-            }
+            backwardRow(grad_out.data() + base, cache.x_hat.data() + base,
+                        v.spatial, g * inv_std, mean_dy, mean_dy_xhat,
+                        grad_x.data() + base);
         }
     }
     return grad_x;

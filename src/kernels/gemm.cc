@@ -5,7 +5,12 @@
 #include <cstring>
 
 #include "kernels/microkernel.h"
+#include "kernels/rowops.h"
 #include "util/scratch_arena.h"
+
+#if defined(__SSE2__)
+#include <xmmintrin.h>
+#endif
 
 namespace scnn {
 
@@ -97,7 +102,7 @@ gemmNTNaive(int64_t m, int64_t n, int64_t k, float alpha, const float *a,
 namespace {
 
 constexpr int64_t MC = 128; ///< A block rows (MC*KC floats ~ L2)
-constexpr int64_t KC = 256; ///< K slab depth (panels fit L1)
+constexpr int64_t KC = kGemmKC; ///< K slab depth (panels fit L1)
 constexpr int64_t NC = 1024; ///< B block cols
 
 /** Upper bounds over every registered microkernel's tile shape, for
@@ -135,6 +140,27 @@ void
 packA(int64_t mc, int64_t kc, const float *a, int64_t rs, int64_t cs,
       float scale, int64_t mr, float *__restrict pa)
 {
+    if (cs == 1 && scale == 1.0f) {
+        // A unit-stride operand at alpha = 1: 1 * x is x for every
+        // non-signaling input, so the rows are plain copies, read
+        // contiguously and written at stride mr.
+        for (int64_t ir = 0; ir < mc; ir += mr) {
+            const int64_t rows = std::min(mr, mc - ir);
+            float *panel = pa + ir * kc;
+            for (int64_t r = 0; r < mr; ++r) {
+                float *dst = panel + r;
+                if (r < rows) {
+                    const float *src = a + (ir + r) * rs;
+                    for (int64_t p = 0; p < kc; ++p)
+                        dst[p * mr] = src[p];
+                } else {
+                    for (int64_t p = 0; p < kc; ++p)
+                        dst[p * mr] = 0.0f;
+                }
+            }
+        }
+        return;
+    }
     for (int64_t ir = 0; ir < mc; ir += mr) {
         const int64_t rows = std::min(mr, mc - ir);
         for (int64_t p = 0; p < kc; ++p) {
@@ -147,6 +173,54 @@ packA(int64_t mc, int64_t kc, const float *a, int64_t rs, int64_t cs,
 }
 
 /**
+ * Pack the first @p cols columns of a kc-row B slab (element (p,j) at
+ * b[p*rs + j*cs]) into one nr-column panel: dst[p*nr + j], zero-padded
+ * past cols. A full unit-stride panel copies each row as a block.
+ */
+void
+packBPanel(int64_t kc, int64_t cols, const float *b, int64_t rs,
+           int64_t cs, int64_t nr, float *__restrict dst)
+{
+    if (cs == 1 && cols == nr) {
+        for (int64_t p = 0; p < kc; ++p)
+            copyFloats(dst + p * nr, b + p * rs, nr);
+        return;
+    }
+#if defined(__SSE2__)
+    if (rs == 1 && cols == nr && nr % 4 == 0) {
+        // A transposed operand: each column is a contiguous run of
+        // K, so 4x4 blocks load as columns and transpose in
+        // registers into four panel rows.
+        int64_t p = 0;
+        for (; p + 4 <= kc; p += 4)
+            for (int64_t j = 0; j < nr; j += 4) {
+                const float *s = b + p + j * cs;
+                __m128 a0 = _mm_loadu_ps(s);
+                __m128 a1 = _mm_loadu_ps(s + cs);
+                __m128 a2 = _mm_loadu_ps(s + 2 * cs);
+                __m128 a3 = _mm_loadu_ps(s + 3 * cs);
+                _MM_TRANSPOSE4_PS(a0, a1, a2, a3);
+                float *d = dst + p * nr + j;
+                _mm_storeu_ps(d, a0);
+                _mm_storeu_ps(d + nr, a1);
+                _mm_storeu_ps(d + 2 * nr, a2);
+                _mm_storeu_ps(d + 3 * nr, a3);
+            }
+        for (; p < kc; ++p)
+            for (int64_t j = 0; j < nr; ++j)
+                dst[p * nr + j] = b[p + j * cs];
+        return;
+    }
+#endif
+    for (int64_t p = 0; p < kc; ++p) {
+        for (int64_t j = 0; j < cols; ++j)
+            *dst++ = b[p * rs + j * cs];
+        for (int64_t j = cols; j < nr; ++j)
+            *dst++ = 0.0f;
+    }
+}
+
+/**
  * Pack a kc x nc block of B (element (p,j) at b[p*rs + j*cs]) into
  * nr-column panels: pb[(jr/nr)*kc*nr + p*nr + j], zero-padded.
  */
@@ -154,15 +228,9 @@ void
 packB(int64_t kc, int64_t nc, const float *b, int64_t rs, int64_t cs,
       int64_t nr, float *__restrict pb)
 {
-    for (int64_t jr = 0; jr < nc; jr += nr) {
-        const int64_t cols = std::min(nr, nc - jr);
-        for (int64_t p = 0; p < kc; ++p) {
-            for (int64_t j = 0; j < cols; ++j)
-                *pb++ = b[p * rs + (jr + j) * cs];
-            for (int64_t j = cols; j < nr; ++j)
-                *pb++ = 0.0f;
-        }
-    }
+    for (int64_t jr = 0; jr < nc; jr += nr)
+        packBPanel(kc, std::min(nr, nc - jr), b + jr * cs, rs, cs, nr,
+                   pb + jr * kc);
 }
 
 /** Partial tile: run the full microkernel on a zero-padded copy so
@@ -395,18 +463,9 @@ gemmPackBPanels(int64_t k, int64_t n, const float *b, int64_t ldb,
     for (int64_t pc = 0; pc < k; pc += KC) {
         const int64_t kc = std::min(KC, k - pc);
         float *slab = pb + pc * n_round;
-        for (int64_t j = j0; j < j1; ++j) {
-            const int64_t jc = j * nr;
-            const int64_t cols = std::min(nr, n - jc);
-            float *dst = slab + j * kc * nr;
-            const float *src = b + pc * ldb + jc;
-            for (int64_t p = 0; p < kc; ++p) {
-                for (int64_t jj = 0; jj < cols; ++jj)
-                    *dst++ = src[p * ldb + jj];
-                for (int64_t jj = cols; jj < nr; ++jj)
-                    *dst++ = 0.0f;
-            }
-        }
+        for (int64_t j = j0; j < j1; ++j)
+            packBPanel(kc, std::min(nr, n - j * nr), b + pc * ldb + j * nr,
+                       ldb, 1, nr, slab + j * kc * nr);
     }
 }
 
@@ -425,19 +484,9 @@ gemmPackBStrided(int64_t k, int64_t n, const float *b, int64_t rs,
     for (int64_t pc = 0; pc < k; pc += KC) {
         const int64_t kc = std::min(KC, k - pc);
         float *slab = pb + pc * n_round;
-        const int64_t panels = gemmPackedBPanels(n);
-        for (int64_t j = 0; j < panels; ++j) {
-            const int64_t jc = j * nr;
-            const int64_t cols = std::min(nr, n - jc);
-            float *dst = slab + j * kc * nr;
-            const float *src = b + pc * rs + jc * cs;
-            for (int64_t p = 0; p < kc; ++p) {
-                for (int64_t jj = 0; jj < cols; ++jj)
-                    *dst++ = src[p * rs + jj * cs];
-                for (int64_t jj = cols; jj < nr; ++jj)
-                    *dst++ = 0.0f;
-            }
-        }
+        for (int64_t j = 0; j * nr < n; ++j)
+            packBPanel(kc, std::min(nr, n - j * nr), b + pc * rs + j * nr * cs,
+                       rs, cs, nr, slab + j * kc * nr);
     }
 }
 

@@ -32,6 +32,10 @@
 
 namespace scnn {
 
+/** K-slab depth of the blocked kernels and the packed layouts: K is
+ * consumed, and packed, in slabs of this many rows. */
+inline constexpr int64_t kGemmKC = 256;
+
 /**
  * C = alpha * A * B + beta * C.
  *
@@ -112,10 +116,13 @@ void gemmPackAStrided(int64_t m, int64_t k, float alpha, const float *a,
  * Pack a KxN B operand once into microkernel panels and replay it
  * across many GEMM calls — the split executor stages each im2col
  * patch-column panel once per call and consumes it across every
- * output-channel tile and column chunk without repacking. The layout
- * is slab-major (KC slabs ascending, nr-wide column panels within a
- * slab), so a consumer can walk any panel subrange independently;
- * like packed A, the layout depends on the active microkernel.
+ * output-channel tile and column chunk without repacking. The
+ * layout is slab-major (KC slabs ascending, nr-wide column panels
+ * within a slab), so a consumer can walk any panel subrange
+ * independently: element (p, j), in the slab starting at
+ * pc = p - p % kGemmKC with depth kc = min(kGemmKC, k - pc), sits at
+ * pc * roundUp(n, nr) + (j / nr) * kc * nr + (p - pc) * nr + j % nr.
+ * Like packed A, the layout depends on the active microkernel.
  */
 ///@{
 /** Floats required for the packed representation of a KxN B. */
@@ -140,10 +147,10 @@ int64_t gemmPackedBPanels(int64_t n);
 /**
  * gemmPackB with explicit element strides: B(p, j) is read from
  * b[p*rs + j*cs], so a transposed operand packs without a transpose
- * copy — wgrad packs grad_out^T (rs = 1, cs = the output spatial
- * stride) straight from the parent gradient tensor. Identical slab
- * walk and panel layout to gemmPackB (gemmPackB is the rs = ldb,
- * cs = 1 special case).
+ * copy — wgrad packs its column matrix transposed (rs = 1, cs = the
+ * band's column count), 4x4 blocks at a time. Identical slab walk and
+ * panel layout to gemmPackB (gemmPackB is the rs = ldb, cs = 1
+ * special case).
  */
 void gemmPackBStrided(int64_t k, int64_t n, const float *b, int64_t rs,
                       int64_t cs, float *pb);

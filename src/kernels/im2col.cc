@@ -1,9 +1,9 @@
 #include "kernels/im2col.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "analysis/shadow_access.h"
+#include "kernels/rowops.h"
 
 namespace scnn {
 
@@ -20,7 +20,6 @@ im2colViewStrided(const float *img, int64_t c, int64_t ih, int64_t iw,
     shadowRecord(img + view.r0 * iw + view.c0,
                  (c - 1) * ih * iw + (view.ih - 1) * iw + view.iw,
                  false);
-    const size_t row_bytes = static_cast<size_t>(ow) * sizeof(float);
     int64_t row = 0;
     for (int64_t ic = 0; ic < c; ++ic) {
         const float *chan = img + ic * ih * iw;
@@ -31,12 +30,12 @@ im2colViewStrided(const float *img, int64_t c, int64_t ih, int64_t iw,
                 // *any* stride: ix = ox*sw - pw_b + kx must land in
                 // [0, view.iw), so ox lives in
                 // [ceil((pw_b - kx)/sw), ceil((view.iw + pw_b - kx)/sw)).
-                // Zero the out-of-patch flanks (when present) and
-                // fill the middle with one memcpy (stride 1) or one
-                // branch-free strided gather — bit-identical to the
-                // old per-element walk. Narrow patches make these
-                // rows short, so the flank work is guarded to keep
-                // the per-row cost at one copy.
+                // Zero the out-of-patch flanks and fill the middle
+                // with one copy (stride 1) or one branch-free strided
+                // gather — bit-identical to the old per-element walk.
+                // Narrow patches make these rows short (1-4 outputs
+                // at the deep layers), so the copies are rowops.h's
+                // inline ones, not a libc call per segment.
                 const int64_t num_lo = win.pw_b - kx;
                 const int64_t lo = std::clamp<int64_t>(
                     num_lo > 0 ? (num_lo + win.sw - 1) / win.sw : 0,
@@ -51,23 +50,15 @@ im2colViewStrided(const float *img, int64_t c, int64_t ih, int64_t iw,
                     float *drow = dst + (oy - oy0) * row_step;
                     const int64_t iy = oy * win.sh - win.ph_b + ky;
                     if (iy < 0 || iy >= view.ih) {
-                        std::memset(drow, 0, row_bytes);
+                        zeroFloats(drow, ow);
                         continue;
                     }
-                    if (lo > 0)
-                        std::memset(drow, 0,
-                                    static_cast<size_t>(lo) *
-                                        sizeof(float));
-                    if (hi < ow)
-                        std::memset(drow + hi, 0,
-                                    static_cast<size_t>(ow - hi) *
-                                        sizeof(float));
+                    zeroFloats(drow, lo);
+                    zeroFloats(drow + hi, ow - hi);
                     const float *src =
                         chan + (view.r0 + iy) * iw + src_off;
                     if (win.sw == 1)
-                        std::memcpy(drow + lo, src,
-                                    static_cast<size_t>(hi - lo) *
-                                        sizeof(float));
+                        copyFloats(drow + lo, src, hi - lo);
                     else
                         for (int64_t ox = lo; ox < hi; ++ox)
                             drow[ox] = src[(ox - lo) * win.sw];
@@ -125,8 +116,7 @@ col2imViewStrided(const float *col, int64_t c, int64_t ih, int64_t iw,
                     const float *srow = src + (oy - oy0) * row_step;
                     float *drow = chan + (view.r0 + iy) * iw + dst_off;
                     if (win.sw == 1)
-                        for (int64_t ox = lo; ox < hi; ++ox)
-                            drow[ox - lo] += srow[ox];
+                        addRow(drow, srow + lo, hi - lo);
                     else
                         for (int64_t ox = lo; ox < hi; ++ox)
                             drow[(ox - lo) * win.sw] += srow[ox];

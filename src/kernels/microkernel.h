@@ -1,7 +1,7 @@
 /**
  * @file
  * Runtime-dispatched SIMD microkernels behind the blocked GEMM and
- * the im2col/rowops copy loops.
+ * the conv bias rows.
  *
  * Two implementations are registered at startup:
  *
@@ -20,10 +20,9 @@
  * forces the scalar path, anything else picks the best kernel the
  * CPU supports. Tests override programmatically via setSimdEnabled().
  *
- * The row helpers (copy/zero/bias-add) are exact in every variant —
- * copying bytes and a single add per element round identically in
- * scalar and SIMD form — so only the GEMM tile kernel participates in
- * the determinism carve-out.
+ * The bias-add row helper is exact in every variant — a single add
+ * per element rounds identically in scalar and SIMD form — so only
+ * the GEMM tile kernel participates in the determinism carve-out.
  */
 #ifndef SCNN_KERNELS_MICROKERNEL_H
 #define SCNN_KERNELS_MICROKERNEL_H
@@ -33,8 +32,8 @@
 namespace scnn {
 
 /**
- * One register-tiled GEMM inner kernel plus the row helpers the
- * im2col and bias loops use. All function pointers are non-null.
+ * One register-tiled GEMM inner kernel plus the bias row helper. All
+ * function pointers are non-null.
  */
 struct Microkernel
 {
@@ -48,12 +47,6 @@ struct Microkernel
      */
     void (*tile)(int64_t kc, const float *pa, const float *pb,
                  float *c, int64_t ldc);
-
-    /** dst[0:n] = src[0:n] (exact; used by im2col row copies). */
-    void (*copyRow)(float *dst, const float *src, int64_t n);
-
-    /** dst[0:n] = 0 (exact). */
-    void (*zeroRow)(float *dst, int64_t n);
 
     /** dst[j] += b for j in [0, n) — one add per element, so the
      * result is bit-identical in scalar and SIMD form. */

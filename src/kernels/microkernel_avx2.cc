@@ -27,7 +27,6 @@
 
 #if defined(SCNN_BUILD_AVX2)
 
-#include <cstring>
 #include <immintrin.h>
 
 namespace scnn {
@@ -91,19 +90,6 @@ tileAvx2(int64_t kc, const float *__restrict pa,
 }
 
 void
-copyRowAvx2(float *dst, const float *src, int64_t n)
-{
-    // memcpy already vectorizes well and is exact; keep it.
-    std::memcpy(dst, src, static_cast<size_t>(n) * sizeof(float));
-}
-
-void
-zeroRowAvx2(float *dst, int64_t n)
-{
-    std::memset(dst, 0, static_cast<size_t>(n) * sizeof(float));
-}
-
-void
 addBiasRowAvx2(float *dst, int64_t n, float b)
 {
     const __m256 vb = _mm256_set1_ps(b);
@@ -131,8 +117,7 @@ microkernelAvx2()
     if (!supported)
         return nullptr;
     static const Microkernel kernel = {
-        "avx2",   MR,          NR,
-        tileAvx2, copyRowAvx2, zeroRowAvx2, addBiasRowAvx2,
+        "avx2", MR, NR, tileAvx2, addBiasRowAvx2,
     };
     return &kernel;
 }

@@ -8,8 +8,6 @@
  */
 #include "kernels/microkernel.h"
 
-#include <cstring>
-
 namespace scnn {
 
 namespace {
@@ -95,18 +93,6 @@ tileScalar(int64_t kc, const float *__restrict pa,
 #endif
 
 void
-copyRowScalar(float *dst, const float *src, int64_t n)
-{
-    std::memcpy(dst, src, static_cast<size_t>(n) * sizeof(float));
-}
-
-void
-zeroRowScalar(float *dst, int64_t n)
-{
-    std::memset(dst, 0, static_cast<size_t>(n) * sizeof(float));
-}
-
-void
 addBiasRowScalar(float *dst, int64_t n, float b)
 {
     for (int64_t j = 0; j < n; ++j)
@@ -119,8 +105,7 @@ const Microkernel &
 microkernelScalar()
 {
     static const Microkernel kernel = {
-        "scalar", MR,           NR,
-        tileScalar, copyRowScalar, zeroRowScalar, addBiasRowScalar,
+        "scalar", MR, NR, tileScalar, addBiasRowScalar,
     };
     return kernel;
 }

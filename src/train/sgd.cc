@@ -29,11 +29,19 @@ Sgd::step(ParamStore &params)
         Tensor &g = params.grad(static_cast<ParamId>(p));
         Tensor &v = velocity_[p];
         const int64_t n = w.numel();
+        SCNN_CHECK(g.numel() == n && v.numel() == n,
+                   "parameter " << p << " has a mis-sized gradient or "
+                                   "velocity");
+        float *wp = w.data();
+        const float *gp = g.data();
+        float *vp = v.data();
+        const float wd = config_.weight_decay;
+        const float mom = config_.momentum;
+        const float lr = config_.lr;
         for (int64_t i = 0; i < n; ++i) {
-            const float grad =
-                g.at(i) + config_.weight_decay * w.at(i);
-            v.at(i) = config_.momentum * v.at(i) + grad;
-            w.at(i) -= config_.lr * v.at(i);
+            const float grad = gp[i] + wd * wp[i];
+            vp[i] = mom * vp[i] + grad;
+            wp[i] -= lr * vp[i];
         }
     }
 }

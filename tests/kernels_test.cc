@@ -1,15 +1,20 @@
 /**
  * @file
  * Kernel correctness: reference checks for conv/pool/batchnorm/linear
- * forward, numeric-gradient checks for every backward kernel, and the
- * im2col/col2im adjoint property.
+ * forward, numeric-gradient checks for every backward kernel, and
+ * byte-exact specs of the SIMD elementwise loops (ReLU, batchnorm
+ * normalize, max-pool selection).
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <limits>
 #include <vector>
 
+#include "core/split_op.h"
 #include "kernels/activations.h"
 #include "kernels/batchnorm.h"
 #include "kernels/conv2d.h"
@@ -17,6 +22,7 @@
 #include "kernels/im2col.h"
 #include "kernels/linear.h"
 #include "kernels/pool2d.h"
+#include "kernels/rowops.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
 
@@ -327,23 +333,303 @@ TEST(Linear, ForwardBackward)
     EXPECT_LT(maxAbsDiff(gb, numericGrad(b, loss)), 1e-2f);
 }
 
+/** Bit pattern of a float, for byte-exact comparisons (NaN, -0). */
+uint32_t
+bitsOf(float v)
+{
+    uint32_t u;
+    std::memcpy(&u, &v, sizeof(u));
+    return u;
+}
+
+/** Inputs that separate max/select forms: signed zeros, NaN, +-Inf,
+ * denormals, and ordinary values of both signs. */
+std::vector<float>
+reluInputs(Rng &rng, int64_t n)
+{
+    const float specials[] = {-0.0f,
+                              0.0f,
+                              std::numeric_limits<float>::quiet_NaN(),
+                              -std::numeric_limits<float>::quiet_NaN(),
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(),
+                              std::numeric_limits<float>::denorm_min(),
+                              -std::numeric_limits<float>::denorm_min()};
+    std::vector<float> v(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i)
+        v[static_cast<size_t>(i)] =
+            i % 3 == 0 ? specials[(i / 3) % 8] : rng.normal();
+    return v;
+}
+
+// Every length 0..40 at every offset mod 4 from an aligned base, so
+// each SIMD body/tail split and unaligned start is hit; the results
+// must equal the scalar selects byte for byte.
 TEST(Relu, ForwardBackwardAndInplace)
 {
-    Tensor x(Shape{4});
-    x.at(0) = -1.0f;
-    x.at(1) = 2.0f;
-    x.at(2) = 0.0f;
-    x.at(3) = -3.0f;
-    Tensor y = reluForward(x);
-    EXPECT_EQ(y.at(0), 0.0f);
-    EXPECT_EQ(y.at(1), 2.0f);
-    Tensor x2 = x;
-    reluForwardInplace(x2);
-    EXPECT_TRUE(allClose(y, x2, 0.0f));
-    Tensor g = reluBackward(y, Tensor(y.shape(), 1.0f));
-    EXPECT_EQ(g.at(0), 0.0f);
-    EXPECT_EQ(g.at(1), 1.0f);
-    EXPECT_EQ(g.at(2), 0.0f);
+    Rng rng(10);
+    for (int64_t n = 0; n <= 40; ++n)
+        for (int64_t off = 0; off < 4; ++off) {
+            SCOPED_TRACE(testing::Message() << "n " << n << " offset "
+                                            << off);
+            const std::vector<float> x = reluInputs(rng, n + off);
+            const std::vector<float> g = reluInputs(rng, n + off);
+            std::vector<float> y(static_cast<size_t>(n + off), 7.0f);
+            std::vector<float> gx(static_cast<size_t>(n + off), 7.0f);
+            std::vector<float> inplace = x;
+            reluRow(y.data() + off, x.data() + off, n);
+            reluRow(inplace.data() + off, inplace.data() + off, n);
+            reluGradRow(gx.data() + off, y.data() + off, g.data() + off, n);
+            for (int64_t i = off; i < n + off; ++i) {
+                const size_t u = static_cast<size_t>(i);
+                const float want = x[u] > 0.0f ? x[u] : 0.0f;
+                ASSERT_EQ(bitsOf(y[u]), bitsOf(want)) << "at " << i;
+                ASSERT_EQ(bitsOf(inplace[u]), bitsOf(want)) << "at " << i;
+                const float want_g = y[u] > 0.0f ? g[u] : 0.0f;
+                ASSERT_EQ(bitsOf(gx[u]), bitsOf(want_g)) << "at " << i;
+            }
+            for (int64_t i = 0; i < off; ++i)
+                ASSERT_EQ(y[static_cast<size_t>(i)], 7.0f); // untouched
+
+            // The tensor entry points run the same rows.
+            Tensor xt(Shape{n});
+            std::copy(x.begin() + off, x.end(), xt.data());
+            const Tensor yt = reluForward(xt);
+            Tensor it = xt;
+            reluForwardInplace(it);
+            Tensor gt(Shape{n});
+            std::copy(g.begin() + off, g.end(), gt.data());
+            const Tensor gxt = reluBackward(yt, gt);
+            for (int64_t i = 0; i < n; ++i) {
+                const size_t u = static_cast<size_t>(i + off);
+                ASSERT_EQ(bitsOf(yt.data()[i]), bitsOf(y[u])) << "at " << i;
+                ASSERT_EQ(bitsOf(it.data()[i]), bitsOf(y[u])) << "at " << i;
+                ASSERT_EQ(bitsOf(gxt.data()[i]), bitsOf(gx[u])) << "at " << i;
+            }
+        }
+}
+
+/** Test-side copies of batchnorm's scalar normalize loops, in the
+ * operation order the kernels have always used. */
+struct BatchNormRef
+{
+    static void
+    forward(const Tensor &x, const Tensor &gamma, const Tensor &beta,
+            const BatchNormCache &cache, Tensor &x_hat, Tensor &out)
+    {
+        const int64_t n = x.shape().dim(0), c = x.shape().dim(1);
+        const int64_t spatial = x.shape().dim(2) * x.shape().dim(3);
+        for (int64_t ic = 0; ic < c; ++ic) {
+            const float mean = cache.mean.at(ic);
+            const float inv_std = cache.inv_std.at(ic);
+            const float g = gamma.at(ic), b = beta.at(ic);
+            for (int64_t in = 0; in < n; ++in) {
+                const int64_t base = (in * c + ic) * spatial;
+                for (int64_t s = 0; s < spatial; ++s) {
+                    x_hat.data()[base + s] =
+                        (x.data()[base + s] - mean) * inv_std;
+                    out.data()[base + s] = g * x_hat.data()[base + s] + b;
+                }
+            }
+        }
+    }
+
+    static void
+    inference(const Tensor &x, const Tensor &gamma, const Tensor &beta,
+              const Tensor &rm, const Tensor &rv, float eps, Tensor &out)
+    {
+        const int64_t n = x.shape().dim(0), c = x.shape().dim(1);
+        const int64_t spatial = x.shape().dim(2) * x.shape().dim(3);
+        for (int64_t ic = 0; ic < c; ++ic) {
+            const float inv_std = 1.0f / std::sqrt(rv.at(ic) + eps);
+            const float g = gamma.at(ic), b = beta.at(ic);
+            const float m = rm.at(ic);
+            for (int64_t in = 0; in < n; ++in) {
+                const int64_t base = (in * c + ic) * spatial;
+                for (int64_t s = 0; s < spatial; ++s)
+                    out.data()[base + s] =
+                        g * (x.data()[base + s] - m) * inv_std + b;
+            }
+        }
+    }
+
+    static void
+    backward(const Tensor &dy, const Tensor &gamma,
+             const BatchNormCache &cache, Tensor &dx)
+    {
+        const int64_t n = dy.shape().dim(0), c = dy.shape().dim(1);
+        const int64_t spatial = dy.shape().dim(2) * dy.shape().dim(3);
+        const int64_t count = n * spatial;
+        for (int64_t ic = 0; ic < c; ++ic) {
+            double sum_dy = 0.0, sum_dy_xhat = 0.0;
+            for (int64_t in = 0; in < n; ++in)
+                for (int64_t s = 0; s < spatial; ++s) {
+                    const int64_t i = (in * c + ic) * spatial + s;
+                    sum_dy += dy.data()[i];
+                    sum_dy_xhat += double(dy.data()[i]) * cache.x_hat.data()[i];
+                }
+            const float g = gamma.at(ic);
+            const float inv_std = cache.inv_std.at(ic);
+            const float mean_dy = static_cast<float>(sum_dy / count);
+            const float mean_dy_xhat =
+                static_cast<float>(sum_dy_xhat / count);
+            for (int64_t in = 0; in < n; ++in)
+                for (int64_t s = 0; s < spatial; ++s) {
+                    const int64_t i = (in * c + ic) * spatial + s;
+                    dx.data()[i] = g * inv_std *
+                                   (dy.data()[i] - mean_dy -
+                                    cache.x_hat.data()[i] * mean_dy_xhat);
+                }
+        }
+    }
+};
+
+bool
+sameBytes(const Tensor &a, const Tensor &b)
+{
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(), a.bytes()) == 0;
+}
+
+// Spatial sizes 1, 3, 4, 5 and 17 put every split of a row between
+// the 4-wide SIMD body and the scalar tail; the rows must equal the
+// scalar loops byte for byte.
+TEST(BatchNorm, NormalizeLoopsMatchScalarBytes)
+{
+    Rng rng(14);
+    for (int64_t hw : {1, 3, 4, 5, 17}) {
+        SCOPED_TRACE(testing::Message() << "spatial " << hw);
+        Tensor x(Shape{3, 2, 1, hw});
+        x.fillNormal(rng, 0.5f, 2.0f);
+        Tensor gamma(Shape{2}), beta(Shape{2});
+        gamma.fillUniform(rng, 0.5f, 1.5f);
+        beta.fillNormal(rng, 0.0f, 0.5f);
+
+        BatchNormCache cache;
+        const Tensor out = batchNormForwardStats(x, gamma, beta, 1e-5f,
+                                                 cache);
+        Tensor x_hat(x.shape()), want(x.shape());
+        BatchNormRef::forward(x, gamma, beta, cache, x_hat, want);
+        EXPECT_TRUE(sameBytes(out, want));
+        EXPECT_TRUE(sameBytes(cache.x_hat, x_hat));
+
+        Tensor rm(Shape{2}), rv(Shape{2});
+        rm.fillNormal(rng, 0.0f, 1.0f);
+        rv.fillUniform(rng, 0.5f, 2.0f);
+        const Tensor inf = batchNormInference(x, gamma, beta, rm, rv, 1e-5f);
+        Tensor want_inf(x.shape());
+        BatchNormRef::inference(x, gamma, beta, rm, rv, 1e-5f, want_inf);
+        EXPECT_TRUE(sameBytes(inf, want_inf));
+
+        Tensor dy(x.shape());
+        dy.fillNormal(rng, 0.0f, 1.0f);
+        Tensor gg(Shape{2}), gb(Shape{2});
+        const Tensor dx = batchNormBackward(dy, gamma, cache, gg, gb);
+        Tensor want_dx(x.shape());
+        BatchNormRef::backward(dy, gamma, cache, want_dx);
+        EXPECT_TRUE(sameBytes(dx, want_dx));
+    }
+}
+
+// Five channels run four in SIMD lanes and one in the scalar loop;
+// both keep the first strict maximum in (ky, kx) order, never let NaN
+// win, and give a window with no tap in the view 0 with argmax -1.
+TEST(MaxPool2d, FirstStrictMaxNanAndPadding)
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    // 2x10 per channel, 2x2 stride 2: five windows per row.
+    const int64_t c = 5, plane = 20;
+    Tensor x(Shape{1, c, 2, 10});
+    const float row0[10] = {3, 3, nan, 1, -2, -1, 5, 4, nan, nan};
+    const float row1[10] = {3, 2, 1, 1, -1, -2, 5, 5, nan, nan};
+    for (int64_t ic = 0; ic < c; ++ic)
+        for (int64_t i = 0; i < 10; ++i) {
+            // Channels differ by an offset, so lanes cannot mix them up.
+            x.at(ic * plane + i) = row0[i] + static_cast<float>(ic);
+            x.at(ic * plane + 10 + i) = row1[i] + static_cast<float>(ic);
+        }
+    std::vector<int64_t> argmax;
+    const Tensor out = maxPool2dForward(x, Window2d::square(2, 2, 0), argmax);
+    ASSERT_EQ(out.shape(), Shape({1, c, 1, 5}));
+    for (int64_t ic = 0; ic < c; ++ic) {
+        SCOPED_TRACE(testing::Message() << "channel " << ic);
+        const float d = static_cast<float>(ic);
+        const int64_t o = ic * 5, base = ic * plane;
+        EXPECT_EQ(out.at(o + 0), 3.0f + d);
+        EXPECT_EQ(argmax[o + 0], base + 0); // tie: the first of four
+        EXPECT_EQ(out.at(o + 1), 1.0f + d);
+        EXPECT_EQ(argmax[o + 1], base + 3); // the NaN at (0, 0) never wins
+        EXPECT_EQ(out.at(o + 2), -1.0f + d);
+        EXPECT_EQ(argmax[o + 2], base + 5); // (0, 1) before the tied (1, 0)
+        EXPECT_EQ(out.at(o + 3), 5.0f + d);
+        EXPECT_EQ(argmax[o + 3], base + 6);
+        EXPECT_EQ(bitsOf(out.at(o + 4)), bitsOf(0.0f)); // all NaN
+        EXPECT_EQ(argmax[o + 4], -1);
+    }
+
+    // A window wholly in the padding: pad 3 on a 1x1 input with a 2x2
+    // window at stride 3 leaves the first output with no tap.
+    Tensor one(Shape{1, c, 1, 1}, -4.0f);
+    const Window2d pad_win{2, 2, 3, 3, 3, 0, 3, 0};
+    const Tensor po = maxPool2dForward(one, pad_win, argmax);
+    ASSERT_EQ(po.numel(), c);
+    for (int64_t ic = 0; ic < c; ++ic) {
+        EXPECT_EQ(bitsOf(po.at(ic)), bitsOf(0.0f));
+        EXPECT_EQ(argmax[static_cast<size_t>(ic)], -1);
+    }
+}
+
+// The four-channel lanes against the scalar loop, over split patches
+// with asymmetric and cropping paddings and inputs with ties, NaN and
+// -Inf: each channel of a 6-channel pool (one lane group plus two
+// scalar channels) must equal, byte for byte, the same channel pooled
+// alone (the scalar loop), argmax included.
+TEST(MaxPool2d, ChannelLanesMatchScalarChannels)
+{
+    Rng rng(15);
+    const int64_t c = 6, ih = 11, iw = 13;
+    Tensor x(Shape{2, c, ih, iw});
+    for (int64_t i = 0; i < x.numel(); ++i) {
+        const int64_t r = i % 7;
+        x.at(i) = r == 0   ? std::numeric_limits<float>::quiet_NaN()
+                  : r == 1 ? -std::numeric_limits<float>::infinity()
+                  : r == 2 ? 1.0f // ties
+                           : std::round(rng.normal() * 4.0f) / 4.0f;
+    }
+    const Window2d wins[] = {Window2d::square(2, 2, 0),
+                             Window2d::square(3, 2, 1),
+                             Window2d{3, 2, 1, 2, 2, 0, -1, 1}};
+    for (const Window2d &win : wins)
+        for (int parts : {1, 2, 3}) {
+            SCOPED_TRACE(testing::Message() << win.toString() << " parts "
+                                            << parts);
+            const SplitScheme2d scheme = splitWindowOp2d(
+                win, ih, iw, evenOutputSplit(win.outH(ih), parts),
+                evenOutputSplit(win.outW(iw), parts));
+            std::vector<int64_t> argmax;
+            const Tensor out = splitMaxPool2dForward(x, win, scheme, argmax);
+            const int64_t oplane = out.shape().dim(2) * out.shape().dim(3);
+            for (int64_t in = 0; in < 2; ++in)
+                for (int64_t ic = 0; ic < c; ++ic) {
+                    Tensor one(Shape{1, 1, ih, iw});
+                    const int64_t src = (in * c + ic) * ih * iw;
+                    std::copy(x.data() + src, x.data() + src + ih * iw,
+                              one.data());
+                    std::vector<int64_t> one_argmax;
+                    const Tensor want =
+                        splitMaxPool2dForward(one, win, scheme, one_argmax);
+                    const int64_t dst = (in * c + ic) * oplane;
+                    for (int64_t o = 0; o < oplane; ++o) {
+                        ASSERT_EQ(bitsOf(out.data()[dst + o]),
+                                  bitsOf(want.data()[o]))
+                            << "image " << in << " channel " << ic;
+                        const int64_t a = one_argmax[static_cast<size_t>(o)];
+                        ASSERT_EQ(argmax[static_cast<size_t>(dst + o)],
+                                  a < 0 ? -1 : a + src)
+                            << "image " << in << " channel " << ic;
+                    }
+                }
+        }
 }
 
 TEST(SoftmaxXent, LossAndGradient)

@@ -3,7 +3,8 @@
 
 Auto-detects the report flavour:
  - bench_kernels output (key "split_conv_summary"): fails when the
-   split-conv numbers regress past the thresholds below;
+   split-conv numbers regress past the thresholds below, or when a
+   required section (small-map convs, elementwise loops) is missing;
  - bench_serving output (key "scenarios"): fails when the request
    accounting leaks, percentiles are malformed, the chaos scenario
    exercised none of the fault machinery, or the degradation
@@ -65,6 +66,10 @@ WINOGRAD_SPEEDUP_MIN = 0.9
 # The small_spatial_conv rows that must be present (timings ungated).
 SMALL_SPATIAL_LAYERS = {"infer_conv6", "infer_conv10", "infer_conv13",
                         "train_conv13"}
+# The elementwise loops that must be present (timings ungated).
+ELEMENTWISE_LOOPS = {"relu_fwd", "relu_bwd", "batchnorm_fwd_stats",
+                     "batchnorm_bwd", "maxpool_fwd", "im2col_b_stage",
+                     "im2col_bt_stage", "pack_a_grad_out", "col2im"}
 # ---------------------------------------------------------------------------
 
 
@@ -210,6 +215,12 @@ def main():
                   f"(baseline {b.get('fwd_ms', '?')}), "
                   f"group speedup {layer['fwd_group_speedup']:.2f} "
                   f"(baseline {b.get('fwd_group_speedup', '?')})")
+        base_el = {e["name"]: e for e in
+                   baseline.get("elementwise", {}).get("loops", [])}
+        for e in fresh.get("elementwise", {}).get("loops", []):
+            b = base_el.get(e["name"], {})
+            print(f"  elementwise {e['name']}: {e['gbps']:.2f} GB/s "
+                  f"(baseline {b.get('gbps', '?')})")
         fi = fresh.get("im2col_strided")
         bi = baseline.get("im2col_strided", {})
         if fi:
@@ -314,6 +325,21 @@ def main():
             print("ok: small_spatial_conv measured (" + ", ".join(
                 f"{n} {layers[n]['fwd_ms']:.3f} ms"
                 for n in sorted(SMALL_SPATIAL_LAYERS)) + ")")
+
+    # The per-element loops around the GEMM at one VGG-19 layer shape:
+    # machine-dependent bandwidths, so only presence is gated.
+    elementwise = fresh.get("elementwise")
+    if not elementwise:
+        rc |= fail("no elementwise measurement in report")
+    else:
+        loops = {e["name"]: e for e in elementwise.get("loops", [])}
+        missing = sorted(ELEMENTWISE_LOOPS - loops.keys())
+        if missing:
+            rc |= fail(f"elementwise lacks {', '.join(missing)}")
+        else:
+            print("ok: elementwise measured (" + ", ".join(
+                f"{n} {loops[n]['gbps']:.2f} GB/s"
+                for n in sorted(ELEMENTWISE_LOOPS)) + ")")
 
     wino = fresh.get("winograd")
     if not wino:
